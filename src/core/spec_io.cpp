@@ -372,19 +372,35 @@ GridIntensitySeries grid_from_json(const JsonValue& v,
   }
   const auto& arr = expect_array(*points, path + ".points");
   if (arr.empty()) fail(path + ".points", "must not be empty");
+  g.points.reserve(arr.size());
   for (std::size_t i = 0; i < arr.size(); ++i) {
-    const std::string at = path + ".points[" + std::to_string(i) + "]";
-    const auto& pair = expect_array(arr[i], at);
+    // The member path is only spelled out when a check fails: a valid
+    // half-hourly curve has thousands of points.
+    const auto at = [&] {
+      return path + ".points[" + std::to_string(i) + "]";
+    };
+    if (!arr[i].is_array()) expect_array(arr[i], at());
+    const auto& pair = arr[i].as_array();
     if (pair.size() != 2) {
-      fail(at, "expected a [time, g_per_kwh] pair");
+      fail(at(), "expected a [time, g_per_kwh] pair");
     }
-    const double t = pair[0].is_string()
-                         ? time_from_json(pair[0], at + "[0]").sec()
-                         : expect_number(pair[0], at + "[0]");
-    const double gkwh = expect_number(pair[1], at + "[1]");
-    if (!(gkwh >= 0.0)) fail(at + "[1]", "must be non-negative");
+    // Each check's slow path calls the usual validator only to throw its
+    // message.
+    double t = 0.0;
+    if (pair[0].is_number()) {
+      t = pair[0].as_number();
+    } else if (!pair[0].is_string()) {
+      expect_number(pair[0], at() + "[0]");
+    } else if (const auto parsed = parse_date_time(pair[0].as_string())) {
+      t = parsed->sec();
+    } else {
+      time_from_json(pair[0], at() + "[0]");
+    }
+    if (!pair[1].is_number()) expect_number(pair[1], at() + "[1]");
+    const double gkwh = pair[1].as_number();
+    if (!(gkwh >= 0.0)) fail(at() + "[1]", "must be non-negative");
     if (!g.points.empty() && t <= g.points.back().first) {
-      fail(at + "[0]", "breakpoints must be strictly time-sorted");
+      fail(at() + "[0]", "breakpoints must be strictly time-sorted");
     }
     g.points.emplace_back(t, gkwh);
   }

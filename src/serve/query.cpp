@@ -40,7 +40,9 @@ IntensitySpec intensity_from_json(const JsonValue& v) {
     spec.constant = CarbonIntensity::g_per_kwh(constant->as_number());
     return spec;
   }
-  for (const JsonValue& p : points->as_array()) {
+  const auto& array = points->as_array();
+  spec.points.reserve(array.size());
+  for (const JsonValue& p : array) {
     const auto& pair = p.as_array();
     if (pair.size() != 2) {
       throw ParseError("query: intensity points must be [time, g_per_kwh]");
@@ -58,23 +60,6 @@ IntensitySpec intensity_from_json(const JsonValue& v) {
     }
   }
   return spec;
-}
-
-JsonValue intensity_to_json(const IntensitySpec& spec) {
-  JsonValue v = JsonValue::object();
-  if (spec.constant) {
-    v.set("constant_g_per_kwh", spec.constant->gkwh());
-    return v;
-  }
-  JsonValue pts = JsonValue::array();
-  for (const auto& [t, g] : spec.points) {
-    JsonValue pair = JsonValue::array();
-    pair.push_back(t);
-    pair.push_back(g);
-    pts.push_back(std::move(pair));
-  }
-  v.set("points", std::move(pts));
-  return v;
 }
 
 EmbodiedParams embodied_from_json(const JsonValue& v) {
@@ -119,6 +104,20 @@ OperationalStrategy strategy_from_share(double scope2_share) {
   return OperationalStrategy::kBalance;
 }
 
+std::string_view op_literal(QueryRequest::Op op) {
+  using Op = QueryRequest::Op;
+  switch (op) {
+    case Op::kList: return "list";
+    case Op::kWindowAggregate: return "window_aggregate";
+    case Op::kRegimes: return "regimes";
+    case Op::kCompare: return "compare";
+    case Op::kWhatIf: return "whatif";
+    case Op::kStats: return "stats";
+    case Op::kTrace: return "trace";
+  }
+  return "unknown";
+}
+
 /// Reject members outside `allowed` so a typo cannot silently produce a
 /// default-valued (and cached) answer to a different question.
 void reject_unknown_members(const JsonValue& v,
@@ -154,16 +153,7 @@ CarbonIntensity IntensitySpec::at(SimTime t) const {
 }
 
 std::string QueryRequest::op_name(Op op) {
-  switch (op) {
-    case Op::kList: return "list";
-    case Op::kWindowAggregate: return "window_aggregate";
-    case Op::kRegimes: return "regimes";
-    case Op::kCompare: return "compare";
-    case Op::kWhatIf: return "whatif";
-    case Op::kStats: return "stats";
-    case Op::kTrace: return "trace";
-  }
-  return "unknown";
+  return std::string(op_literal(op));
 }
 
 QueryRequest QueryRequest::from_json(const JsonValue& v) {
@@ -201,7 +191,7 @@ QueryRequest QueryRequest::from_json(const JsonValue& v) {
     r.op = Op::kTrace;
     reject_unknown_members(v, {"op", "id", "request"});
     const double n = v.at("request").as_number();
-    if (n < 1.0 || n != std::floor(n)) {
+    if (n < 1.0 || n >= 0x1p64 || n != std::floor(n)) {
       throw ParseError("query: trace request must be a positive integer id");
     }
     r.trace_request = static_cast<std::uint64_t>(n);
@@ -243,6 +233,11 @@ QueryRequest QueryRequest::from_json(const JsonValue& v) {
     }
     if (o.scope3) r.embodied = *o.scope3;
   }
+  // A total past ~1.8e302 t overflows the gram-based CarbonMass; it would
+  // have no JSON rendering, so no canonical key.
+  if (r.embodied && !std::isfinite(r.embodied->total.t())) {
+    throw ParseError("query: scope3 total_tonnes is out of range");
+  }
   if ((r.op == Op::kRegimes || r.op == Op::kWhatIf) && !r.intensity) {
     throw ParseError("query: " + op_name(r.op) +
                      " needs an intensity (or a spec with a grid section)");
@@ -254,33 +249,80 @@ QueryRequest QueryRequest::from_json_text(std::string_view text) {
   return from_json(JsonValue::parse(text));
 }
 
-JsonValue QueryRequest::to_canonical_json() const {
-  JsonValue v = JsonValue::object();
-  v.set("op", op_name(op));
-  if (!id.empty()) v.set("id", id);
+std::string QueryRequest::canonical_key() const {
+  // Written straight into one buffer with the JSON layer's own appenders:
+  // the same bytes as building this object as a JsonValue and dump(0)-ing
+  // it (tests/serve/test_query_engine.cpp pins the equivalence).
+  std::string out;
+  std::size_t size = 96 + id.size() + scenario.size() + channel.size() +
+                     scenario_a.size() + scenario_b.size();
+  if (intensity) size += 48 * intensity->points.size();
+  out.reserve(size);
+  // `sep` is the text before the member: "{" opens an object, "," follows
+  // a sibling.
+  const auto key = [&out](std::string_view sep, std::string_view name) {
+    out += sep;
+    out += '"';
+    out += name;
+    out += "\":";
+  };
+  const auto text = [&](std::string_view name, std::string_view value) {
+    key(",", name);
+    append_json_quoted(out, value);
+  };
+  const auto number = [&](std::string_view sep, std::string_view name,
+                          double value) {
+    key(sep, name);
+    append_json_number(out, value);
+  };
+
+  key("{", "op");
+  append_json_quoted(out, op_literal(op));
+  if (!id.empty()) text("id", id);
   if (op == Op::kCompare) {
-    v.set("a", scenario_a);
-    v.set("b", scenario_b);
+    text("a", scenario_a);
+    text("b", scenario_b);
   }
   if (op == Op::kTrace) {
-    v.set("request", static_cast<double>(trace_request));
+    number(",", "request", static_cast<double>(trace_request));
   }
-  if (!scenario.empty()) v.set("scenario", scenario);
-  if (!channel.empty()) v.set("channel", channel);
-  if (start) v.set("start", start->sec());
-  if (end) v.set("end", end->sec());
-  if (intensity) v.set("intensity", intensity_to_json(*intensity));
+  // Names an op requires stay even when empty: a key that dropped them
+  // would spell a different (malformed) request, and a raw line equal to
+  // it would hit this request's cached answer.
+  const bool names_scenario =
+      op == Op::kWindowAggregate || op == Op::kRegimes || op == Op::kWhatIf;
+  const bool names_channel = op == Op::kWindowAggregate || op == Op::kWhatIf;
+  if (names_scenario || !scenario.empty()) text("scenario", scenario);
+  if (names_channel || !channel.empty()) text("channel", channel);
+  if (start) number(",", "start", start->sec());
+  if (end) number(",", "end", end->sec());
+  if (intensity) {
+    key(",", "intensity");
+    if (intensity->constant) {
+      number("{", "constant_g_per_kwh", intensity->constant->gkwh());
+    } else {
+      key("{", "points");
+      out += '[';
+      const auto& points = intensity->points;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        out += i == 0 ? "[" : ",[";
+        append_json_number(out, points[i].first);
+        out += ',';
+        append_json_number(out, points[i].second);
+        out += ']';
+      }
+      out += ']';
+    }
+    out += '}';
+  }
   if (embodied) {
-    JsonValue s3 = JsonValue::object();
-    s3.set("total_tonnes", embodied->total.t());
-    s3.set("lifetime_years", embodied->lifetime_years);
-    v.set("scope3", std::move(s3));
+    key(",", "scope3");
+    number("{", "total_tonnes", embodied->total.t());
+    number(",", "lifetime_years", embodied->lifetime_years);
+    out += '}';
   }
-  return v;
-}
-
-std::string QueryRequest::canonical_key() const {
-  return to_canonical_json().dump(0);
+  out += '}';
+  return out;
 }
 
 std::string render_response(const QueryRequest& request,
@@ -435,11 +477,11 @@ JsonValue QueryEngine::regimes(const QueryRequest& r) const {
   require(end > start, "query: regimes needs a non-empty [start, end)");
 
   // Segment boundaries: the window ends plus every breakpoint inside it.
-  std::vector<double> bounds{start.sec()};
-  if (!intensity.is_constant()) {
-    for (const auto& [t, g] : intensity.points) {
-      if (t > start.sec() && t < end.sec()) bounds.push_back(t);
-    }
+  std::vector<double> bounds;
+  bounds.reserve(intensity.points.size() + 2);
+  bounds.push_back(start.sec());
+  for (const auto& [t, g] : intensity.points) {
+    if (t > start.sec() && t < end.sec()) bounds.push_back(t);
   }
   bounds.push_back(end.sec());
 
@@ -456,15 +498,22 @@ JsonValue QueryEngine::regimes(const QueryRequest& r) const {
     const double v1 = intensity.at(SimTime(t1)).gkwh();
     intensity_integral.add(0.5 * (v0 + v1) * (t1 - t0));
 
-    std::vector<double> cuts{t0};
+    // At most both thresholds cut one segment: four cut points.
+    double cuts[4] = {t0};
+    std::size_t n_cuts = 1;
     for (const double threshold : kThresholds) {
       if ((v0 - threshold) * (v1 - threshold) < 0.0) {
-        cuts.push_back(t0 + (threshold - v0) / (v1 - v0) * (t1 - t0));
+        cuts[n_cuts++] = t0 + (threshold - v0) / (v1 - v0) * (t1 - t0);
       }
     }
-    cuts.push_back(t1);
-    std::sort(cuts.begin(), cuts.end());
-    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+    cuts[n_cuts++] = t1;
+    // Insertion sort of at most four values: the order std::sort gives.
+    for (std::size_t k = 1; k < n_cuts; ++k) {
+      for (std::size_t j = k; j > 0 && cuts[j] < cuts[j - 1]; --j) {
+        std::swap(cuts[j], cuts[j - 1]);
+      }
+    }
+    for (std::size_t k = 0; k + 1 < n_cuts; ++k) {
       const double mid = 0.5 * (cuts[k] + cuts[k + 1]);
       const double f = t1 > t0 ? (mid - t0) / (t1 - t0) : 0.0;
       const double vmid = v0 + f * (v1 - v0);

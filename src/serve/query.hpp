@@ -85,10 +85,11 @@ struct QueryRequest {
   [[nodiscard]] static QueryRequest from_json(const JsonValue& v);
   [[nodiscard]] static QueryRequest from_json_text(std::string_view text);
 
-  /// Canonical compact JSON: fixed member order, resolved times as epoch
-  /// numbers, no optional members that equal their defaults.
-  [[nodiscard]] JsonValue to_canonical_json() const;
-  /// The cache / coalescing key: `to_canonical_json().dump(0)`.
+  /// The cache / coalescing key: the request as canonical compact JSON —
+  /// fixed member order, resolved times as epoch numbers, no optional
+  /// members that equal their defaults.  Written directly with the JSON
+  /// layer's appenders (append_json_quoted / append_json_number), so it is
+  /// byte-identical to dump(0) of the same object built as a JsonValue.
   [[nodiscard]] std::string canonical_key() const;
 
   [[nodiscard]] static std::string op_name(Op op);

@@ -1,61 +1,64 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "util/error.hpp"
 
 namespace hpcem {
 
-JsonValue::JsonValue(double n) : type_(Type::kNumber), number_(n) {
+JsonValue::JsonValue(double n) : value_(std::in_place_index<2>, n) {
   require(std::isfinite(n), "JsonValue: numbers must be finite");
 }
 
 bool JsonValue::as_bool() const {
-  if (type_ != Type::kBool) throw ParseError("JsonValue: not a bool");
-  return bool_;
+  if (const bool* b = std::get_if<bool>(&value_)) return *b;
+  throw ParseError("JsonValue: not a bool");
 }
 
 double JsonValue::as_number() const {
-  if (type_ != Type::kNumber) throw ParseError("JsonValue: not a number");
-  return number_;
+  if (const double* n = std::get_if<double>(&value_)) return *n;
+  throw ParseError("JsonValue: not a number");
 }
 
 const std::string& JsonValue::as_string() const {
-  if (type_ != Type::kString) throw ParseError("JsonValue: not a string");
-  return string_;
+  if (const auto* s = std::get_if<std::string>(&value_)) return *s;
+  throw ParseError("JsonValue: not a string");
 }
 
 const JsonValue::Array& JsonValue::as_array() const {
-  if (type_ != Type::kArray) throw ParseError("JsonValue: not an array");
-  return array_;
+  if (const auto* a = std::get_if<Array>(&value_)) return *a;
+  throw ParseError("JsonValue: not an array");
 }
 
 const JsonValue::Object& JsonValue::as_object() const {
-  if (type_ != Type::kObject) throw ParseError("JsonValue: not an object");
-  return object_;
+  if (const auto* o = std::get_if<Object>(&value_)) return *o;
+  throw ParseError("JsonValue: not an object");
 }
 
 void JsonValue::set(std::string key, JsonValue value) {
-  require(type_ == Type::kObject, "JsonValue::set: not an object");
-  for (auto& [k, v] : object_) {
+  auto* object = std::get_if<Object>(&value_);
+  require(object != nullptr, "JsonValue::set: not an object");
+  for (auto& [k, v] : *object) {
     if (k == key) {
       v = std::move(value);
       return;
     }
   }
-  object_.emplace_back(std::move(key), std::move(value));
+  object->emplace_back(std::move(key), std::move(value));
 }
 
 void JsonValue::push_back(JsonValue value) {
-  require(type_ == Type::kArray, "JsonValue::push_back: not an array");
-  array_.push_back(std::move(value));
+  auto* array = std::get_if<Array>(&value_);
+  require(array != nullptr, "JsonValue::push_back: not an array");
+  array->push_back(std::move(value));
 }
 
 const JsonValue* JsonValue::get(std::string_view key) const {
-  if (type_ != Type::kObject) return nullptr;
-  for (const auto& [k, v] : object_) {
+  const auto* object = std::get_if<Object>(&value_);
+  if (object == nullptr) return nullptr;
+  for (const auto& [k, v] : *object) {
     if (k == key) return &v;
   }
   return nullptr;
@@ -69,18 +72,36 @@ const JsonValue& JsonValue::at(std::string_view key) const {
   return *v;
 }
 
-std::string json_number(double v) {
+namespace {
+
+void append_shortest(std::string& out, double v) {
   char buf[32];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   HPCEM_ASSERT(ec == std::errc(), "json_number: to_chars failed");
-  return std::string(buf, ptr);
+  out.append(buf, ptr);
 }
 
-std::string json_quote(std::string_view s) {
+}  // namespace
+
+void append_json_number(std::string& out, double v) {
+  require(std::isfinite(v), "JsonValue: numbers must be finite");
+  append_shortest(out, v);
+}
+
+std::string json_number(double v) {
   std::string out;
-  out.reserve(s.size() + 2);
+  append_shortest(out, v);
+  return out;
+}
+
+void append_json_quoted(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -89,18 +110,22 @@ std::string json_quote(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xF]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(s, run, s.size() - run);
   out.push_back('"');
+}
+
+std::string json_quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_json_quoted(out, s);
   return out;
 }
 
@@ -112,38 +137,46 @@ void JsonValue::dump_to(std::string& out, int indent, int depth) const {
                    static_cast<std::size_t>(levels),
                ' ');
   };
-  switch (type_) {
+  switch (type()) {
     case Type::kNull: out += "null"; break;
-    case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: out += json_number(number_); break;
-    case Type::kString: out += json_quote(string_); break;
+    case Type::kBool:
+      out += std::get<bool>(value_) ? "true" : "false";
+      break;
+    case Type::kNumber:  // finite by construction
+      append_shortest(out, std::get<double>(value_));
+      break;
+    case Type::kString:
+      append_json_quoted(out, std::get<std::string>(value_));
+      break;
     case Type::kArray: {
-      if (array_.empty()) {
+      const Array& array = std::get<Array>(value_);
+      if (array.empty()) {
         out += "[]";
         break;
       }
       out.push_back('[');
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < array.size(); ++i) {
         if (i > 0) out.push_back(',');
         newline_pad(depth + 1);
-        array_[i].dump_to(out, indent, depth + 1);
+        array[i].dump_to(out, indent, depth + 1);
       }
       newline_pad(depth);
       out.push_back(']');
       break;
     }
     case Type::kObject: {
-      if (object_.empty()) {
+      const Object& object = std::get<Object>(value_);
+      if (object.empty()) {
         out += "{}";
         break;
       }
       out.push_back('{');
-      for (std::size_t i = 0; i < object_.size(); ++i) {
+      for (std::size_t i = 0; i < object.size(); ++i) {
         if (i > 0) out.push_back(',');
         newline_pad(depth + 1);
-        out += json_quote(object_[i].first);
+        append_json_quoted(out, object[i].first);
         out += indent > 0 ? ": " : ":";
-        object_[i].second.dump_to(out, indent, depth + 1);
+        object[i].second.dump_to(out, indent, depth + 1);
       }
       newline_pad(depth);
       out.push_back('}');
@@ -259,20 +292,40 @@ class JsonParser {
     }
   }
 
+  /// One more array/object level; past kJsonMaxDepth the document is
+  /// refused before the recursion can exhaust the stack.
+  void enter() {
+    if (++depth_ > kJsonMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+           " levels");
+    }
+  }
+
   JsonValue parse_object() {
+    enter();
     expect('{');
-    JsonValue obj = JsonValue::object();
+    JsonValue::Object members;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return obj;
+      --depth_;
+      return JsonValue(std::move(members));
     }
     while (true) {
       skip_ws();
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj.set(std::move(key), parse_value());
+      JsonValue value = parse_value();
+      // A repeated key overwrites the first in place (JsonValue::set).
+      const auto dup = std::find_if(
+          members.begin(), members.end(),
+          [&](const JsonValue::Member& m) { return m.first == key; });
+      if (dup != members.end()) {
+        dup->second = std::move(value);
+      } else {
+        members.emplace_back(std::move(key), std::move(value));
+      }
       skip_ws();
       const char c = peek();
       if (c == ',') {
@@ -281,22 +334,27 @@ class JsonParser {
       }
       if (c == '}') {
         ++pos_;
-        return obj;
+        --depth_;
+        return JsonValue(std::move(members));
       }
       fail("expected ',' or '}' in object");
     }
   }
 
   JsonValue parse_array() {
+    enter();
     expect('[');
-    JsonValue arr = JsonValue::array();
+    JsonValue::Array items;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return arr;
+      --depth_;
+      return JsonValue(std::move(items));
     }
+    // Most arrays on the wire are [time, value] pairs: size them once.
+    items.reserve(2);
     while (true) {
-      arr.push_back(parse_value());
+      items.push_back(parse_value());
       skip_ws();
       const char c = peek();
       if (c == ',') {
@@ -305,7 +363,8 @@ class JsonParser {
       }
       if (c == ']') {
         ++pos_;
-        return arr;
+        --depth_;
+        return JsonValue(std::move(items));
       }
       fail("expected ',' or ']' in array");
     }
@@ -315,16 +374,19 @@ class JsonParser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run up to the next quote, escape or control character
+      // in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const auto u = static_cast<unsigned char>(text_[pos_]);
+        if (u == '"' || u == '\\' || u < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -336,13 +398,13 @@ class JsonParser {
         case 'n': out.push_back('\n'); break;
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
-        case 'u': out += parse_unicode_escape(); break;
+        case 'u': append_unicode_escape(out); break;
         default: fail("bad escape character");
       }
     }
   }
 
-  std::string parse_unicode_escape() {
+  void append_unicode_escape(std::string& out) {
     if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
     unsigned code = 0;
     for (int i = 0; i < 4; ++i) {
@@ -359,7 +421,6 @@ class JsonParser {
       }
     }
     // UTF-8 encode the BMP code point (surrogate pairs out of scope).
-    std::string out;
     if (code < 0x80) {
       out.push_back(static_cast<char>(code));
     } else if (code < 0x800) {
@@ -370,7 +431,6 @@ class JsonParser {
       out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
       out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
     }
-    return out;
   }
 
   JsonValue parse_number() {
@@ -399,6 +459,7 @@ class JsonParser {
   std::string_view text_;
   JsonParseOptions options_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects currently open
 };
 
 }  // namespace

@@ -5,7 +5,15 @@
 // JSON the library itself writes — objects (insertion-ordered), arrays,
 // strings (with standard escapes), finite doubles, bools and null.  It is
 // not a general-purpose JSON engine: no surrogate-pair decoding beyond
-// \uXXXX -> UTF-8, no comments, no NaN/Infinity extensions.
+// \uXXXX -> UTF-8, no comments, no NaN/Infinity extensions, and nesting
+// is capped at kJsonMaxDepth levels.
+//
+// A JsonValue holds its one live alternative in a std::variant (about 40
+// bytes a node).  Serialization appends numbers and quoted strings straight
+// into the output buffer through append_json_number / append_json_quoted;
+// code that renders a fixed shape without building a tree (the serve
+// layer's canonical request key) uses the same appenders, so both paths
+// produce the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -13,9 +21,16 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace hpcem {
+
+/// Deepest array/object nesting the parser accepts.  The recursive-descent
+/// parser uses one stack frame per level, so an unbounded depth would let
+/// one request line overflow the stack; committed documents nest at most
+/// a handful of levels.
+inline constexpr int kJsonMaxDepth = 128;
 
 /// Parse-time dialect switches.  The default is strict JSON; the scenario
 /// spec layer (core/spec_io.hpp) enables comments for human-edited files.
@@ -36,29 +51,32 @@ class JsonValue {
 
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  JsonValue() : type_(Type::kNull) {}
-  JsonValue(bool b) : type_(Type::kBool), bool_(b) {}          // NOLINT
+  JsonValue() = default;
+  JsonValue(bool b) : value_(std::in_place_index<1>, b) {}    // NOLINT
   JsonValue(double n);                                         // NOLINT
   JsonValue(int n) : JsonValue(static_cast<double>(n)) {}      // NOLINT
   JsonValue(std::size_t n)                                     // NOLINT
       : JsonValue(static_cast<double>(n)) {}
   JsonValue(std::string s)                                     // NOLINT
-      : type_(Type::kString), string_(std::move(s)) {}
+      : value_(std::in_place_index<3>, std::move(s)) {}
   JsonValue(const char* s) : JsonValue(std::string(s)) {}      // NOLINT
-  JsonValue(Array a) : type_(Type::kArray), array_(std::move(a)) {}  // NOLINT
+  JsonValue(Array a)                                           // NOLINT
+      : value_(std::in_place_index<4>, std::move(a)) {}
   JsonValue(Object o)                                          // NOLINT
-      : type_(Type::kObject), object_(std::move(o)) {}
+      : value_(std::in_place_index<5>, std::move(o)) {}
 
   [[nodiscard]] static JsonValue object() { return JsonValue(Object{}); }
   [[nodiscard]] static JsonValue array() { return JsonValue(Array{}); }
 
-  [[nodiscard]] Type type() const { return type_; }
-  [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_bool() const { return type_ == Type::kBool; }
-  [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
-  [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
-  [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }
-  [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
+  [[nodiscard]] Type type() const {
+    return static_cast<Type>(value_.index());
+  }
+  [[nodiscard]] bool is_null() const { return type() == Type::kNull; }
+  [[nodiscard]] bool is_bool() const { return type() == Type::kBool; }
+  [[nodiscard]] bool is_number() const { return type() == Type::kNumber; }
+  [[nodiscard]] bool is_string() const { return type() == Type::kString; }
+  [[nodiscard]] bool is_array() const { return type() == Type::kArray; }
+  [[nodiscard]] bool is_object() const { return type() == Type::kObject; }
 
   /// Typed accessors; throw ParseError on a type mismatch (the artifact
   /// reader treats a mistyped field like malformed input).
@@ -93,19 +111,25 @@ class JsonValue {
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 
-  Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  // Alternative order matches Type, so type() is the variant index.
+  std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
+      value_;
 };
+
+/// Append `s` escaped and double-quoted, as JSON output writes it.
+void append_json_quoted(std::string& out, std::string_view s);
+
+/// Append the shortest round-trip decimal rendering of `v` ("17" not
+/// "17.000000"); every number the JSON layer writes goes through here.
+/// Throws InvalidArgument when `v` is not finite, as JsonValue(double)
+/// does.
+void append_json_number(std::string& out, double v);
 
 /// Escape and double-quote a string for JSON output.
 [[nodiscard]] std::string json_quote(std::string_view s);
 
-/// Shortest round-trip decimal rendering of a finite double ("17" not
-/// "17.000000"); used for every number the artifact layer writes.
+/// The same rendering as a fresh string (non-finite values render as
+/// "inf" / "nan" for diagnostics and CSV; JSON output never holds them).
 [[nodiscard]] std::string json_number(double v);
 
 }  // namespace hpcem

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "request_gen.hpp"
 #include "telemetry/timeseries.hpp"
 #include "util/json.hpp"
 
@@ -232,6 +233,121 @@ TEST(QueryRequest, CanonicalKeyCollapsesSpellings) {
   // level relies on).
   EXPECT_EQ(QueryRequest::from_json_text(a.canonical_key()).canonical_key(),
             a.canonical_key());
+}
+
+/// The canonical rendering built as a JsonValue tree, member by member:
+/// the reference canonical_key() must match byte for byte once dumped.
+JsonValue reference_canonical_json(const QueryRequest& r) {
+  using Op = QueryRequest::Op;
+  JsonValue v = JsonValue::object();
+  v.set("op", QueryRequest::op_name(r.op));
+  if (!r.id.empty()) v.set("id", r.id);
+  if (r.op == Op::kCompare) {
+    v.set("a", r.scenario_a);
+    v.set("b", r.scenario_b);
+  }
+  if (r.op == Op::kTrace) {
+    v.set("request", static_cast<double>(r.trace_request));
+  }
+  // Required names are kept even when empty, so the key parses back.
+  const bool names_scenario = r.op == Op::kWindowAggregate ||
+                              r.op == Op::kRegimes || r.op == Op::kWhatIf;
+  const bool names_channel =
+      r.op == Op::kWindowAggregate || r.op == Op::kWhatIf;
+  if (names_scenario || !r.scenario.empty()) v.set("scenario", r.scenario);
+  if (names_channel || !r.channel.empty()) v.set("channel", r.channel);
+  if (r.start) v.set("start", r.start->sec());
+  if (r.end) v.set("end", r.end->sec());
+  if (r.intensity) {
+    JsonValue i = JsonValue::object();
+    if (r.intensity->constant) {
+      i.set("constant_g_per_kwh", r.intensity->constant->gkwh());
+    } else {
+      JsonValue pts = JsonValue::array();
+      for (const auto& [t, g] : r.intensity->points) {
+        JsonValue pair = JsonValue::array();
+        pair.push_back(t);
+        pair.push_back(g);
+        pts.push_back(std::move(pair));
+      }
+      i.set("points", std::move(pts));
+    }
+    v.set("intensity", std::move(i));
+  }
+  if (r.embodied) {
+    JsonValue s3 = JsonValue::object();
+    s3.set("total_tonnes", r.embodied->total.t());
+    s3.set("lifetime_years", r.embodied->lifetime_years);
+    v.set("scope3", std::move(s3));
+  }
+  return v;
+}
+
+TEST(QueryRequest, CanonicalKeyMatchesTheJsonTreeRendering) {
+  // Seeded property: for generated requests of every op — hostile names,
+  // edge-case numbers, ISO and epoch times, wire- and spec-phrased
+  // curves — the directly written key equals the tree rendering, and
+  // keying the parsed key gives the key back.
+  request_gen::RequestVocabulary vocab;
+  vocab.max_points = 200;
+  request_gen::RequestGenerator gen(vocab, 0xC0FFEEULL);
+  std::size_t per_op[7] = {};
+  for (int i = 0; i < 1500; ++i) {
+    const std::string line = gen.line();
+    const QueryRequest r = QueryRequest::from_json_text(line);
+    ++per_op[static_cast<int>(r.op)];
+    const std::string key = r.canonical_key();
+    ASSERT_EQ(key, reference_canonical_json(r).dump(0)) << line;
+    ASSERT_EQ(QueryRequest::from_json_text(key).canonical_key(), key)
+        << line;
+  }
+  for (const std::size_t n : per_op) EXPECT_GT(n, 100u);
+
+  // Edge-case numbers, spelled literally.
+  const auto r = QueryRequest::from_json_text(
+      R"({"op":"whatif","scenario":"s","channel":"c","start":-0.0,)"
+      R"("end":9007199254740993,"intensity":{"points":[[5e-324,0.1],)"
+      R"([1e21,1E+21]]},"scope3":{"total_tonnes":0.1,"lifetime_years":4}})");
+  EXPECT_EQ(r.canonical_key(),
+            R"({"op":"whatif","scenario":"s","channel":"c","start":-0,)"
+            R"("end":9007199254740992,"intensity":{"points":[[5e-324,0.1],)"
+            R"([1e+21,1e+21]]},"scope3":{"total_tonnes":0.1,)"
+            R"("lifetime_years":4}})");
+  EXPECT_EQ(r.canonical_key(), reference_canonical_json(r).dump(0));
+}
+
+TEST(QueryRequest, EmptyRequiredNamesStayInTheKey) {
+  // A key that dropped an empty scenario would read as a request with no
+  // scenario at all; a raw line spelling that key must not hit the cached
+  // answer of the empty-name request.
+  const auto r = QueryRequest::from_json_text(
+      R"({"op":"window_aggregate","scenario":"","channel":""})");
+  EXPECT_EQ(r.canonical_key(),
+            R"({"op":"window_aggregate","scenario":"","channel":""})");
+  EXPECT_EQ(QueryRequest::from_json_text(r.canonical_key()).canonical_key(),
+            r.canonical_key());
+}
+
+TEST(QueryRequest, OutOfRangeNumbersAreParseErrors) {
+  // No canonical key can render an infinite scope-3 total.
+  EXPECT_THROW(QueryRequest::from_json_text(
+                   R"({"op":"whatif","scenario":"s","channel":"c",)"
+                   R"("intensity":{"constant_g_per_kwh":1},)"
+                   R"("scope3":{"total_tonnes":1e303,"lifetime_years":4}})"),
+               ParseError);
+  EXPECT_THROW(QueryRequest::from_json_text(
+                   R"({"op":"regimes","scenario":"s","spec":{"grid":)"
+                   R"({"constant_g_per_kwh":1},"scope3":)"
+                   R"({"total_tonnes":1e303,"lifetime_years":4}}})"),
+               ParseError);
+  // A trace id must fit the 64-bit request counter.
+  EXPECT_THROW(
+      QueryRequest::from_json_text(R"({"op":"trace","request":1e30})"),
+      ParseError);
+  EXPECT_EQ(QueryRequest::from_json_text(
+                R"({"op":"trace","request":18446744073709549568})")
+                .trace_request,
+            18446744073709549568ULL);
 }
 
 TEST(QueryRequest, RejectsUnknownMembersAndBadShapes) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -144,6 +147,85 @@ TEST(JsonParse, CommentsRejectedByDefaultAllowedByOption) {
     EXPECT_EQ(std::string(e.what()),
               "json: unterminated /* comment at line 2, column 1");
   }
+}
+
+TEST(JsonParse, NestingIsCappedWithALocatedError) {
+  const auto nested = [](int levels) {
+    return std::string(static_cast<std::size_t>(levels), '[') +
+           std::string(static_cast<std::size_t>(levels), ']');
+  };
+  // The deepest accepted document round-trips.
+  const std::string deepest = nested(kJsonMaxDepth);
+  EXPECT_EQ(JsonValue::parse(deepest).dump(0), deepest);
+  // One level more is refused at the bracket that crosses the limit.
+  try {
+    (void)JsonValue::parse(nested(kJsonMaxDepth + 1));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "json: nesting deeper than 128 levels at line 1, column 129");
+  }
+  // A request line of 100,000 open brackets: a clean error, not a stack
+  // overflow.  Objects count toward the same limit.
+  const std::string line =
+      "{\"op\":\"list\",\"id\":" + std::string(100000, '[');
+  try {
+    (void)JsonValue::parse(line);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "json: nesting deeper than 128 levels at line 1, column 146");
+  }
+  std::string objects;
+  for (int i = 0; i <= kJsonMaxDepth; ++i) objects += "{\"k\":";
+  EXPECT_THROW(JsonValue::parse(objects), ParseError);
+}
+
+TEST(JsonValue, AppendersMatchTheStringForms) {
+  const std::string raw =
+      std::string("plain \"q\" \\ /\b\f\n\r\t") + '\0' +
+      "\x01\x1f\x7f \xc3\xa9";
+  std::string out = "prefix:";
+  append_json_quoted(out, raw);
+  EXPECT_EQ(out, "prefix:" + json_quote(raw));
+  EXPECT_EQ(json_quote(raw),
+            "\"plain \\\"q\\\" \\\\ /\\b\\f\\n\\r\\t\\u0000\\u0001\\u001f\x7f "
+            "\xc3\xa9\"");
+  EXPECT_EQ(JsonValue::parse(json_quote(raw)).as_string(), raw);
+
+  for (const double x : {0.0, -0.0, 0.1, 5e-324, 1e21, 9007199254740993.0,
+                         -123456.789}) {
+    std::string n;
+    append_json_number(n, x);
+    EXPECT_EQ(n, json_number(x));
+    EXPECT_EQ(n, JsonValue(x).dump(0));
+  }
+  std::string n;
+  EXPECT_THROW(append_json_number(n, INFINITY), InvalidArgument);
+  EXPECT_THROW(append_json_number(n, std::nan("")), InvalidArgument);
+}
+
+TEST(JsonParse, CommittedArtifactsRedumpByteIdentically) {
+  // Every committed artifact was written by dump(2); parsing and dumping
+  // it again must reproduce the file byte for byte.
+  std::size_t checked = 0;
+  for (const char* dir : {"bench/baselines/serve", "scenarios/ci"}) {
+    const std::filesystem::path root =
+        std::filesystem::path(HPCEM_SOURCE_DIR) / dir;
+    for (const auto& entry : std::filesystem::directory_iterator(root)) {
+      const std::string name = entry.path().filename().string();
+      if (name.size() < 14 ||
+          name.compare(name.size() - 14, 14, ".artifact.json") != 0) {
+        continue;
+      }
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream text;
+      text << in.rdbuf();
+      EXPECT_EQ(JsonValue::parse(text.str()).dump(2), text.str()) << name;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 3u);
 }
 
 TEST(JsonParse, RoundTripComplexDocument) {
