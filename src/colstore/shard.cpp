@@ -104,12 +104,4 @@ std::string write_manifest(const ShardManifest& manifest,
   return path;
 }
 
-ShardManifest read_manifest_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("ShardManifest: cannot open " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return ShardManifest::from_json_text(text);
-}
-
 }  // namespace hpcem::colstore

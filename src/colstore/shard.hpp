@@ -83,7 +83,5 @@ struct ShardManifest {
 /// on I/O failure.
 std::string write_manifest(const ShardManifest& manifest,
                            const std::string& dir);
-/// Read and validate a manifest file.
-[[nodiscard]] ShardManifest read_manifest_file(const std::string& path);
 
 }  // namespace hpcem::colstore

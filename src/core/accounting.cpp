@@ -8,12 +8,6 @@
 
 namespace hpcem {
 
-double UsageBreakdown::area_share(const std::string& area) const {
-  const auto it = by_area.find(area);
-  if (it == by_area.end() || total.node_hours <= 0.0) return 0.0;
-  return it->second.node_hours / total.node_hours;
-}
-
 UsageBreakdown account_usage(const std::vector<JobRecord>& records,
                              const AppCatalog& catalog,
                              CarbonIntensity intensity) {

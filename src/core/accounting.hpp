@@ -35,9 +35,6 @@ struct UsageBreakdown {
   std::map<std::string, UsageBucket> by_area;
   std::map<std::string, UsageBucket> by_app;
   UsageBucket total;
-
-  /// Node-hour share of one area (0 when absent).
-  [[nodiscard]] double area_share(const std::string& area) const;
 };
 
 /// Aggregate records against the catalogue's area labels at a flat carbon

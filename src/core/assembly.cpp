@@ -83,10 +83,6 @@ ScenarioSpec ScenarioSpec::figure2() { return load_named_scenario("figure2"); }
 
 ScenarioSpec ScenarioSpec::figure3() { return load_named_scenario("figure3"); }
 
-ScenarioSpec ScenarioSpec::archer2_baseline() {
-  return load_named_scenario("archer2-baseline");
-}
-
 FacilityAssembly::FacilityAssembly(ScenarioSpec spec)
     : spec_(std::move(spec)),
       owned_(std::make_shared<const Facility>(build_machine(spec_.machine))),
@@ -143,10 +139,6 @@ SimComposition FacilityAssembly::composition(
   c.probes.push_back(std::make_unique<UtilisationProbe>());
   c.probes.push_back(std::make_unique<QueueStateProbe>());
   return c;
-}
-
-std::unique_ptr<FacilitySimulator> FacilityAssembly::make_simulator() const {
-  return make_simulator(spec_.seed);
 }
 
 std::unique_ptr<FacilitySimulator> FacilityAssembly::make_simulator(

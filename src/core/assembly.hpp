@@ -126,8 +126,6 @@ struct ScenarioSpec {
   [[nodiscard]] static ScenarioSpec figure1();
   [[nodiscard]] static ScenarioSpec figure2();
   [[nodiscard]] static ScenarioSpec figure3();
-  /// The canonical steady-state baseline window (same as figure1).
-  [[nodiscard]] static ScenarioSpec archer2_baseline();
 };
 
 /// Result of one scenario run.
@@ -178,7 +176,6 @@ class FacilityAssembly {
   /// A ready-to-run simulator: configuration built, policy set, changes
   /// and maintenance armed.  Call sim->run(spec window - warmup, end), or
   /// use run_simulator()/run() below.
-  [[nodiscard]] std::unique_ptr<FacilitySimulator> make_simulator() const;
   [[nodiscard]] std::unique_ptr<FacilitySimulator> make_simulator(
       std::uint64_t seed) const;
 

@@ -7,18 +7,6 @@
 
 namespace hpcem {
 
-std::string to_string(LifecyclePhase p) {
-  switch (p) {
-    case LifecyclePhase::kManufacture:
-      return "manufacture";
-    case LifecyclePhase::kTransport:
-      return "transport";
-    case LifecyclePhase::kDecommission:
-      return "decommission";
-  }
-  return "unknown";
-}
-
 namespace {
 
 EmbodiedComponent component(std::string name, std::size_t count,
@@ -81,16 +69,6 @@ CarbonMass EmbodiedAudit::phase_total(LifecyclePhase phase) const {
     }
   }
   return t;
-}
-
-double EmbodiedAudit::share_of(const std::string& component_name) const {
-  const double grand = total().g();
-  require_state(grand > 0.0, "EmbodiedAudit::share_of: empty audit");
-  for (const auto& c : components_) {
-    if (c.name == component_name) return c.total().g() / grand;
-  }
-  throw InvalidArgument("EmbodiedAudit::share_of: no such component: " +
-                        component_name);
 }
 
 EmbodiedParams EmbodiedAudit::amortise(double lifetime_years) const {

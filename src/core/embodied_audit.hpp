@@ -30,8 +30,6 @@ namespace hpcem {
 /// Lifecycle phase of an embodied-emissions entry.
 enum class LifecyclePhase { kManufacture, kTransport, kDecommission };
 
-[[nodiscard]] std::string to_string(LifecyclePhase p);
-
 /// One audited component class.
 struct EmbodiedComponent {
   std::string name;
@@ -66,8 +64,6 @@ class EmbodiedAudit {
   [[nodiscard]] CarbonMass total() const;
   /// Total for one lifecycle phase.
   [[nodiscard]] CarbonMass phase_total(LifecyclePhase phase) const;
-  /// Share of the grand total carried by one component class.
-  [[nodiscard]] double share_of(const std::string& component_name) const;
 
   /// Uniform amortisation over the service life (the EmissionsModel
   /// convention).

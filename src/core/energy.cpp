@@ -19,24 +19,4 @@ EnergyAccount EnergyAccountant::account(const TimeSeries& power_kw) const {
   return a;
 }
 
-EnergyAccount EnergyAccountant::account(const TimeSeries& power_kw, SimTime a,
-                                        SimTime b) const {
-  return account(power_kw.slice(a, b));
-}
-
-EnergyAccount EnergyAccountant::annualise(Power mean_power) const {
-  require(mean_power.w() >= 0.0,
-          "EnergyAccountant::annualise: power must be >= 0");
-  EnergyAccount a;
-  a.span = Duration::days(365.25);
-  a.mean_power = mean_power;
-  a.energy = mean_power * a.span;
-  a.cost = a.energy * price_.base;
-  const CarbonIntensity mean_ci =
-      intensity_.mean(intensity_.series().start_time(),
-                      intensity_.series().end_time() + Duration::seconds(1));
-  a.scope2 = a.energy * mean_ci;
-  return a;
-}
-
 }  // namespace hpcem

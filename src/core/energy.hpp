@@ -1,4 +1,4 @@
-// Energy accounting over telemetry: kWh, cost and simple projections.
+// Energy accounting over telemetry: kWh, cost and scope-2 emissions.
 #pragma once
 
 #include "grid/carbon.hpp"
@@ -23,14 +23,6 @@ class EnergyAccountant {
 
   /// Account a kW-valued power channel over its full span.
   [[nodiscard]] EnergyAccount account(const TimeSeries& power_kw) const;
-
-  /// Account over a sub-window [a, b).
-  [[nodiscard]] EnergyAccount account(const TimeSeries& power_kw, SimTime a,
-                                      SimTime b) const;
-
-  /// Annualised projection from a mean power draw at the series' mean
-  /// carbon intensity and base price (planning estimate).
-  [[nodiscard]] EnergyAccount annualise(Power mean_power) const;
 
   [[nodiscard]] const CarbonIntensitySeries& intensity() const {
     return intensity_;

@@ -12,7 +12,6 @@
 #include "core/efficiency.hpp"
 #include "core/emissions.hpp"
 #include "core/facility.hpp"
-#include "core/run_artifact.hpp"
 #include "core/scenario.hpp"
 #include "power/facility_power.hpp"
 
@@ -46,9 +45,5 @@ namespace hpcem {
 /// Frequency sweep table for one application (examples/advisor).
 [[nodiscard]] std::string render_frequency_sweep(
     const std::string& app, const std::vector<FrequencyPoint>& sweep);
-
-/// Run-artifact summary: headline numbers, change points and per-channel
-/// aggregates as text (the human view of the JSON artifact).
-[[nodiscard]] std::string render_run_artifact(const RunArtifact& artifact);
 
 }  // namespace hpcem

@@ -311,17 +311,6 @@ RunArtifact make_run_artifact(const ScenarioOutcome& outcome,
   return a;
 }
 
-RunArtifact run_spec_artifact(const FacilityAssembly& assembly) {
-  return run_spec_artifact(assembly, assembly.spec().seed);
-}
-
-RunArtifact run_spec_artifact(const FacilityAssembly& assembly,
-                              std::uint64_t seed) {
-  const auto sim = assembly.run_simulator(seed);
-  const TimelineResult result = analyze_timeline(*sim, assembly.spec());
-  return make_run_artifact(*sim, assembly.spec(), result);
-}
-
 std::vector<RunArtifact> make_campaign_artifacts(
     const CampaignResult& result, const std::vector<ScenarioSpec>& specs) {
   require(result.scenarios.size() == specs.size(),

@@ -156,12 +156,6 @@ struct RunArtifact {
 [[nodiscard]] std::vector<RunArtifact> make_campaign_artifacts(
     const CampaignResult& result, const std::vector<ScenarioSpec>& specs);
 
-/// Run an assembled spec end-to-end (simulate, analyse, package): the
-/// one-call producer the figure benches use.
-[[nodiscard]] RunArtifact run_spec_artifact(const FacilityAssembly& assembly);
-[[nodiscard]] RunArtifact run_spec_artifact(const FacilityAssembly& assembly,
-                                            std::uint64_t seed);
-
 /// Write `<basename>.artifact.json` (and, when the artifact carries channel
 /// aggregates, `<basename>.aggregates.csv`); returns the JSON path.
 /// Throws ParseError on I/O failure.

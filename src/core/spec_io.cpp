@@ -770,13 +770,6 @@ ScenarioSpec load_scenario_file(const std::string& path) {
   }
 }
 
-void save_scenario_file(const ScenarioSpec& spec, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw ParseError("spec: " + path + ": cannot open for writing");
-  out << save_scenario(spec);
-  if (!out) throw ParseError("spec: " + path + ": write failed");
-}
-
 // ---------------------------------------------------------------------------
 // The serve inline-override fragment: grid + scope3 only, rooted at
 // `$.spec` (the request member it arrives under).

@@ -51,10 +51,6 @@ inline constexpr int kScenarioSpecVersion = 1;
 /// `spec: <path>: $.seed: ...`.
 [[nodiscard]] ScenarioSpec load_scenario_file(const std::string& path);
 
-/// Write `save_scenario(spec)` to a file.  Throws ParseError on I/O
-/// failure.
-void save_scenario_file(const ScenarioSpec& spec, const std::string& path);
-
 /// The spec language's emissions-context fragment: the `grid` and
 /// `scope3` sections alone.  This is what `hpcem_serve` whatif/regimes
 /// requests accept as an inline spec override (`"spec": {...}`), so a

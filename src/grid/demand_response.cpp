@@ -6,16 +6,6 @@
 
 namespace hpcem {
 
-DemandResponseSchedule::DemandResponseSchedule(
-    std::vector<GridStressEvent> events)
-    : events_(std::move(events)) {
-  std::sort(events_.begin(), events_.end(),
-            [](const GridStressEvent& a, const GridStressEvent& b) {
-              return a.start < b.start;
-            });
-  validate();
-}
-
 void DemandResponseSchedule::add(GridStressEvent event) {
   // Validate on a copy so a rejected event leaves the schedule unchanged.
   std::vector<GridStressEvent> candidate = events_;
@@ -41,15 +31,6 @@ void DemandResponseSchedule::validate() const {
     require(events_[i - 1].end <= events_[i].start,
             "DemandResponseSchedule: events must not overlap");
   }
-}
-
-std::optional<GridStressEvent> DemandResponseSchedule::active_at(
-    SimTime t) const {
-  for (const auto& e : events_) {
-    if (e.active_at(t)) return e;
-    if (e.start > t) break;  // events are time-ordered
-  }
-  return std::nullopt;
 }
 
 const PolicyOption& choose_policy_for_cap(

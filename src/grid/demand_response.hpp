@@ -9,7 +9,6 @@
 // two changes follow.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "util/sim_time.hpp"
@@ -23,21 +22,15 @@ struct GridStressEvent {
   SimTime start;
   SimTime end;
   Power cabinet_cap;  ///< maximum cabinet draw requested during the window
-
-  [[nodiscard]] bool active_at(SimTime t) const {
-    return t >= start && t < end;
-  }
 };
 
 /// Calendar of stress events (non-overlapping, time-ordered).
 class DemandResponseSchedule {
  public:
-  DemandResponseSchedule() = default;
-  explicit DemandResponseSchedule(std::vector<GridStressEvent> events);
-
+  /// Insert in time order; throws InvalidArgument (leaving the schedule
+  /// unchanged) when the event is degenerate or overlaps another.
   void add(GridStressEvent event);
 
-  [[nodiscard]] std::optional<GridStressEvent> active_at(SimTime t) const;
   [[nodiscard]] const std::vector<GridStressEvent>& events() const {
     return events_;
   }

@@ -29,10 +29,6 @@ GroupId Dragonfly::group_of_switch(SwitchId s) const {
   return s / params_.switches_per_group;
 }
 
-GroupId Dragonfly::group_of_node(NodeId n) const {
-  return group_of_switch(switch_of_node(n));
-}
-
 GroupId Dragonfly::link_target(SwitchId s, std::size_t l) const {
   const GroupId g = group_of_switch(s);
   const std::size_t local_index = s % params_.switches_per_group;
@@ -43,33 +39,6 @@ GroupId Dragonfly::link_target(SwitchId s, std::size_t l) const {
       local_index * params_.global_links_per_switch + l;
   const std::size_t offset = link_index % (params_.groups - 1);
   return (g + 1 + offset) % params_.groups;
-}
-
-std::vector<GroupId> Dragonfly::global_neighbours(SwitchId s) const {
-  require(s < params_.total_switches(),
-          "Dragonfly::global_neighbours: switch out of range");
-  std::vector<GroupId> out;
-  out.reserve(params_.global_links_per_switch);
-  for (std::size_t l = 0; l < params_.global_links_per_switch; ++l) {
-    out.push_back(link_target(s, l));
-  }
-  return out;
-}
-
-bool Dragonfly::groups_linked(GroupId from, GroupId to) const {
-  require(from < params_.groups && to < params_.groups,
-          "Dragonfly::groups_linked: group out of range");
-  if (from == to) return false;
-  // With the round-robin layout the first g-1 link indices already cover
-  // every other group, so linkage always holds for valid geometries; scan
-  // anyway so alternative layouts stay correct.
-  const std::size_t base = from * params_.switches_per_group;
-  for (std::size_t i = 0; i < params_.switches_per_group; ++i) {
-    for (std::size_t l = 0; l < params_.global_links_per_switch; ++l) {
-      if (link_target(base + i, l) == to) return true;
-    }
-  }
-  return false;
 }
 
 SwitchId Dragonfly::gateway_switch(GroupId from, GroupId to) const {
@@ -114,26 +83,6 @@ double Dragonfly::mean_pairwise_hops(const std::vector<NodeId>& nodes) const {
     }
   }
   return static_cast<double>(total) / static_cast<double>(pairs);
-}
-
-std::size_t Dragonfly::local_link_count() const {
-  const std::size_t a = params_.switches_per_group;
-  return params_.groups * a * (a - 1) / 2;
-}
-
-std::size_t Dragonfly::global_link_count() const {
-  return params_.total_switches() * params_.global_links_per_switch;
-}
-
-FabricPowerModel::FabricPowerModel(std::size_t switch_count,
-                                   SwitchPowerModel switch_model)
-    : switch_count_(switch_count), switch_model_(switch_model) {
-  require(switch_count_ > 0, "FabricPowerModel: need at least one switch");
-}
-
-Power FabricPowerModel::power(double traffic_load) const {
-  return switch_model_.power(traffic_load) *
-         static_cast<double>(switch_count_);
 }
 
 }  // namespace hpcem

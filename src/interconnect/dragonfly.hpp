@@ -3,11 +3,11 @@
 // ARCHER2's fabric is 768 Slingshot switches in a dragonfly: switches are
 // partitioned into groups with all-to-all local connectivity inside a group
 // and a near-uniform spread of global links between groups.  The model
-// captures what the paper's analysis needs:
-//  * the component inventory (switch count feeds the fabric power model);
-//  * routing hop counts between nodes, which determine how sensitive an
-//    application's communication fraction is to job placement (used by the
-//    placement-quality example and ablations).
+// captures:
+//  * the component inventory (the switch count, which the facility checks
+//    against its own and the fabric power terms multiply);
+//  * minimal routing hop counts between nodes, the placement-quality
+//    metric of the placement_study example.
 //
 // Geometry defaults reproduce the ARCHER2 scale: 24 groups x 32 switches x
 // 8 node ports = 768 switches / 6144 node ports, hosting the 5860 nodes.
@@ -15,9 +15,6 @@
 
 #include <cstddef>
 #include <vector>
-
-#include "power/plant.hpp"
-#include "util/units.hpp"
 
 namespace hpcem {
 
@@ -56,13 +53,6 @@ class Dragonfly {
 
   [[nodiscard]] SwitchId switch_of_node(NodeId n) const;
   [[nodiscard]] GroupId group_of_switch(SwitchId s) const;
-  [[nodiscard]] GroupId group_of_node(NodeId n) const;
-
-  /// Groups reachable by the global links of switch `s`, in link order.
-  [[nodiscard]] std::vector<GroupId> global_neighbours(SwitchId s) const;
-
-  /// True if some switch in `from` has a global link to `to`.
-  [[nodiscard]] bool groups_linked(GroupId from, GroupId to) const;
 
   /// A switch in `from` carrying a global link towards `to`; throws if the
   /// groups are not directly linked (cannot happen for valid geometries).
@@ -77,11 +67,6 @@ class Dragonfly {
   [[nodiscard]] double mean_pairwise_hops(
       const std::vector<NodeId>& nodes) const;
 
-  /// Total number of local (intra-group) switch-to-switch links.
-  [[nodiscard]] std::size_t local_link_count() const;
-  /// Total number of global (inter-group) links (unidirectional count).
-  [[nodiscard]] std::size_t global_link_count() const;
-
  private:
   /// Group targeted by global link `l` of switch `s` (canonical layout:
   /// links of a group cycle round-robin over the other g-1 groups).
@@ -89,20 +74,6 @@ class Dragonfly {
 
   DragonflyParams params_;
   std::size_t node_count_;
-};
-
-/// Fabric power: the paper's conclusion notes switch draw is essentially
-/// flat (200-250 W) regardless of load, so the fabric is a fixed cost.
-class FabricPowerModel {
- public:
-  FabricPowerModel(std::size_t switch_count, SwitchPowerModel switch_model);
-
-  [[nodiscard]] Power power(double traffic_load) const;
-  [[nodiscard]] std::size_t switch_count() const { return switch_count_; }
-
- private:
-  std::size_t switch_count_;
-  SwitchPowerModel switch_model_;
 };
 
 }  // namespace hpcem

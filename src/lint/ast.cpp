@@ -454,13 +454,6 @@ std::size_t FileAst::enclosing_function_scope(std::size_t scope_index) const {
   return npos;
 }
 
-const FunctionDef* FileAst::function_of_scope(std::size_t scope_index) const {
-  for (const FunctionDef& f : functions) {
-    if (f.body_scope == scope_index) return &f;
-  }
-  return nullptr;
-}
-
 const VarDecl* FileAst::lookup_var(const FunctionDef& function,
                                    std::string_view name) const {
   for (const VarDecl& p : function.params) {

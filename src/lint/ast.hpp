@@ -90,10 +90,6 @@ struct FileAst {
   [[nodiscard]] std::size_t enclosing_function_scope(
       std::size_t scope_index) const;
 
-  /// The FunctionDef whose body scope is `scope_index`, or nullptr.
-  [[nodiscard]] const FunctionDef* function_of_scope(
-      std::size_t scope_index) const;
-
   /// All VarDecls (params + locals) visible inside `function`, by name;
   /// nullptr when the name is not declared in it.
   [[nodiscard]] const VarDecl* lookup_var(const FunctionDef& function,

@@ -794,7 +794,7 @@ class ScenarioInDataRule final : public Rule {
     static constexpr std::array kLoaders = {
         "load_named_scenario", "load_scenario_file", "parse_scenario",
         "scenario_from_json",  "figure1",            "figure2",
-        "figure3",             "archer2_baseline"};
+        "figure3"};
     const Tokens& toks = file.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {
       if (!toks[i].is_identifier("ScenarioSpec")) continue;

@@ -48,10 +48,9 @@ void scan_function_facts(const Tokens& toks, std::size_t begin,
       "clock_gettime", "gettimeofday", "timespec_get"};
   static constexpr std::array<std::string_view, 3> kMacros = {
       "__TIME__", "__DATE__", "__TIMESTAMP__"};
-  static constexpr std::array<std::string_view, 6> kArtifactCalls = {
-      "make_run_artifact",      "write_artifact_files",
-      "make_campaign_artifacts", "run_spec_artifact",
-      "render_response",         "render_error"};
+  static constexpr std::array<std::string_view, 5> kArtifactCalls = {
+      "make_run_artifact", "write_artifact_files", "make_campaign_artifacts",
+      "render_response", "render_error"};
 
   for (std::size_t i = begin; i < end && i < toks.size(); ++i) {
     const Token& t = toks[i];

@@ -39,13 +39,6 @@ void close_span(std::map<std::string, Accum>& by_name, const OpenSpan& s) {
 
 }  // namespace
 
-const ProfileEntry* Profile::find(std::string_view name) const {
-  for (const auto& e : entries) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
 Profile profile_trace(const JsonValue& trace_doc) {
   const JsonValue* events = trace_doc.get("traceEvents");
   require(events != nullptr && events->is_array(),

@@ -34,9 +34,6 @@ struct Profile {
   /// "us" for wall traces, "ticks" for deterministic ones.
   std::string time_unit = "us";
   std::vector<ProfileEntry> entries;
-
-  /// Entry by name; nullptr when absent.
-  [[nodiscard]] const ProfileEntry* find(std::string_view name) const;
 };
 
 /// Profile a parsed trace document (trace_export.hpp layout; any Chrome

@@ -30,17 +30,6 @@ Power CoolingModel::overhead_power(Power it_power, double outdoor_c) const {
   return facility_power(it_power, outdoor_c) - it_power;
 }
 
-TimeSeries CoolingModel::facility_series(const TimeSeries& it_kw,
-                                         const TimeSeries& outdoor_c) const {
-  require(!it_kw.empty() && !outdoor_c.empty(),
-          "CoolingModel::facility_series: empty inputs");
-  TimeSeries out(it_kw.unit());
-  for (const auto& s : it_kw.samples()) {
-    out.append(s.time, s.value * pue_at(outdoor_c.value_at(s.time)));
-  }
-  return out;
-}
-
 double CoolingModel::mean_pue(const TimeSeries& outdoor_c) const {
   require(!outdoor_c.empty(), "CoolingModel::mean_pue: empty series");
   double sum = 0.0;

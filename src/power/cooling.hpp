@@ -37,11 +37,6 @@ class CoolingModel {
   /// Overhead (non-IT) power at a given condition.
   [[nodiscard]] Power overhead_power(Power it_power, double outdoor_c) const;
 
-  /// Combine an IT-power series (kW) with a temperature series (degC) into
-  /// a total facility power series sampled at the IT series' timestamps.
-  [[nodiscard]] TimeSeries facility_series(
-      const TimeSeries& it_kw, const TimeSeries& outdoor_c) const;
-
   /// Mean PUE over a temperature series.
   [[nodiscard]] double mean_pue(const TimeSeries& outdoor_c) const;
 

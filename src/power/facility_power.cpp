@@ -38,12 +38,6 @@ Power FacilityPowerModel::total_power(const NodeActivity& activity) const {
   return total;
 }
 
-Power FacilityPowerModel::total_idle_power() const {
-  NodeActivity idle;
-  idle.load = 0.0;
-  return total_power(idle);
-}
-
 Power FacilityPowerModel::cabinet_power(Power node_fleet_power,
                                         double load_factor) const {
   require(load_factor >= 0.0 && load_factor <= 1.0,

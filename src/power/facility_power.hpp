@@ -63,9 +63,6 @@ class FacilityPowerModel {
   /// Whole-machine power with every node at the given activity.
   [[nodiscard]] Power total_power(const NodeActivity& activity) const;
 
-  /// Idle whole-machine power (all nodes idle, fabric idle).
-  [[nodiscard]] Power total_idle_power() const;
-
   /// Power inside the compute-cabinet metering boundary (nodes + switches +
   /// cabinet overheads) given an already-aggregated node fleet power and a
   /// load factor for the weakly load-dependent plant.

@@ -38,22 +38,6 @@ NodeFleet::NodeFleet(FleetParams params, std::uint64_t seed) {
   }
 }
 
-double NodeFleet::silicon_factor(std::size_t node) const {
-  require(node < state_.silicon.size(), "NodeFleet: node index out of range");
-  return state_.silicon[node];
-}
-
-Summary NodeFleet::silicon_summary() const {
-  return summarize(state_.silicon);
-}
-
-double NodeFleet::mean_silicon(const std::vector<std::size_t>& nodes) const {
-  require(!nodes.empty(), "NodeFleet::mean_silicon: empty node list");
-  double sum = 0.0;
-  for (std::size_t n : nodes) sum += silicon_factor(n);
-  return sum / static_cast<double>(nodes.size());
-}
-
 std::vector<double> NodeFleet::node_powers_w(
     const NodePowerParams& node_params, const DynamicPowerProfile& profile,
     NodeActivity activity) const {

@@ -57,17 +57,9 @@ class NodeFleet {
   NodeFleet(FleetParams params, std::uint64_t seed);
 
   [[nodiscard]] std::size_t size() const { return state_.size(); }
-  [[nodiscard]] double silicon_factor(std::size_t node) const;
 
   /// The structure-of-arrays silicon column (batched evaluation).
   [[nodiscard]] const FleetState& state() const { return state_; }
-
-  /// Fleet statistics of the silicon factor.
-  [[nodiscard]] Summary silicon_summary() const;
-
-  /// Mean silicon factor of an arbitrary node subset (what a job sees).
-  [[nodiscard]] double mean_silicon(const std::vector<std::size_t>& nodes)
-      const;
 
   /// Per-node power draws for the whole fleet running one activity
   /// (the activity's silicon factor field is overridden per node).

@@ -33,10 +33,6 @@ PartitionedScheduler::PartitionedScheduler(
   }
 }
 
-std::vector<std::string> PartitionedScheduler::partition_names() const {
-  return order_;
-}
-
 Scheduler& PartitionedScheduler::at(const std::string& partition) {
   auto it = schedulers_.find(partition);
   require(it != schedulers_.end(),
@@ -72,11 +68,6 @@ void PartitionedScheduler::finish(const std::string& partition, JobId id,
   at(partition).finish(id, now);
 }
 
-double PartitionedScheduler::utilisation(
-    const std::string& partition) const {
-  return at(partition).utilisation();
-}
-
 double PartitionedScheduler::total_utilisation() const {
   return static_cast<double>(busy_nodes()) /
          static_cast<double>(total_nodes());
@@ -97,11 +88,6 @@ std::size_t PartitionedScheduler::busy_nodes() const {
 std::size_t PartitionedScheduler::queue_length(
     const std::string& partition) const {
   return at(partition).queue_length();
-}
-
-const Scheduler& PartitionedScheduler::scheduler(
-    const std::string& partition) const {
-  return at(partition);
 }
 
 }  // namespace hpcem

@@ -41,7 +41,6 @@ class PartitionedScheduler {
   [[nodiscard]] std::size_t partition_count() const {
     return schedulers_.size();
   }
-  [[nodiscard]] std::vector<std::string> partition_names() const;
 
   /// Submit to a named partition; throws InvalidArgument if the partition
   /// does not exist or the job exceeds its pool.
@@ -57,16 +56,11 @@ class PartitionedScheduler {
   /// Finish a job previously started on a partition.
   void finish(const std::string& partition, JobId id, SimTime now);
 
-  /// Per-partition and whole-machine occupancy.
-  [[nodiscard]] double utilisation(const std::string& partition) const;
+  /// Whole-machine occupancy and per-partition queue depth.
   [[nodiscard]] double total_utilisation() const;
   [[nodiscard]] std::size_t total_nodes() const;
   [[nodiscard]] std::size_t busy_nodes() const;
   [[nodiscard]] std::size_t queue_length(const std::string& partition) const;
-
-  /// Access one partition's scheduler (for stats/tests).
-  [[nodiscard]] const Scheduler& scheduler(
-      const std::string& partition) const;
 
  private:
   [[nodiscard]] Scheduler& at(const std::string& partition);

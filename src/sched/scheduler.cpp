@@ -181,12 +181,4 @@ void Scheduler::set_expected_end(JobId id, SimTime end) {
   it->second.expected_end = end;
 }
 
-const std::vector<NodeId>& Scheduler::allocation(JobId id) const {
-  auto it = running_.find(id);
-  require_state(it != running_.end(),
-                "Scheduler::allocation: job not running: " +
-                    std::to_string(id));
-  return it->second.nodes;
-}
-
 }  // namespace hpcem

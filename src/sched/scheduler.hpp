@@ -94,9 +94,6 @@ class Scheduler {
            static_cast<double>(total_nodes());
   }
 
-  /// Nodes allocated to a running job.
-  [[nodiscard]] const std::vector<NodeId>& allocation(JobId id) const;
-
   /// Lifetime counters.
   [[nodiscard]] std::uint64_t started_total() const { return started_total_; }
   [[nodiscard]] std::uint64_t finished_total() const {

@@ -192,15 +192,6 @@ const StoredScenario& ArtifactStore::at(const std::string& name) const {
   return *s;
 }
 
-const StoredScenario& ArtifactStore::at(std::size_t id) const {
-  require(id < scenarios_.size(),
-          "ArtifactStore: scenario id " + std::to_string(id) +
-              " out of range");
-  auto it = scenarios_.begin();
-  std::advance(it, static_cast<std::ptrdiff_t>(id));
-  return it->second;
-}
-
 std::size_t ArtifactStore::total_series_samples() const {
   std::size_t n = 0;
   for (const auto& [name, scenario] : scenarios_) {

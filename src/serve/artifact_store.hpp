@@ -130,8 +130,6 @@ class ArtifactStore {
   [[nodiscard]] const StoredScenario* find(const std::string& name) const;
   /// Scenario by name; throws InvalidArgument when absent.
   [[nodiscard]] const StoredScenario& at(const std::string& name) const;
-  /// Scenario by dense id (lexicographic rank).
-  [[nodiscard]] const StoredScenario& at(std::size_t id) const;
 
   /// Total retained series samples across every channel of every scenario.
   [[nodiscard]] std::size_t total_series_samples() const;

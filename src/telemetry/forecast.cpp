@@ -1,7 +1,5 @@
 #include "telemetry/forecast.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace hpcem {
@@ -29,15 +27,6 @@ TimeSeries PowerForecaster::forecast_series(SimTime start, SimTime end,
     out.append(t, forecast(t));
   }
   return out;
-}
-
-double PowerForecaster::mean_absolute_error(const TimeSeries& actual) const {
-  require(!actual.empty(), "mean_absolute_error: empty actuals");
-  double sum = 0.0;
-  for (const auto& s : actual.samples()) {
-    sum += std::fabs(s.value - forecast(s.time));
-  }
-  return sum / static_cast<double>(actual.size());
 }
 
 }  // namespace hpcem

@@ -30,9 +30,6 @@ class PowerForecaster {
   [[nodiscard]] TimeSeries forecast_series(SimTime start, SimTime end,
                                            Duration step) const;
 
-  /// Evaluate against actuals: mean absolute error over the overlap.
-  [[nodiscard]] double mean_absolute_error(const TimeSeries& actual) const;
-
   [[nodiscard]] const WeeklyDecomposition& weekly() const { return weekly_; }
   [[nodiscard]] double level() const { return level_; }
 

@@ -1,28 +1,24 @@
-// Multi-channel telemetry recorder and rolling-window statistics.
+// Multi-channel telemetry recorder.
 //
 // `Recorder` is the facility simulator's sink: named channels ("cabinet_kw",
-// "utilisation", ...) each backed by a TimeSeries, with CSV export matching
-// the layout a real telemetry database dump would have.
+// "utilisation", ...) each backed by a TimeSeries.
 //
 // Channels are *interned*: `declare()` resolves a name to a dense
 // `ChannelId` exactly once, at composition time, and the per-sample hot
 // path `record(ChannelId, ...)` is an index into a dense channel table —
-// no string hashing or map walk per sample.  The string-keyed overloads
-// remain for composition-time setup, tools and tests; they resolve through
-// the intern map and cost a lookup per call.
+// no string hashing or map walk per sample.  The string-keyed lookups
+// remain for tools and tests; they resolve through the intern map and cost
+// a lookup per call.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "telemetry/timeseries.hpp"
 #include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace hpcem {
 
@@ -36,7 +32,7 @@ void note_recorder_ingest(std::uint64_t n);
 }  // namespace detail
 
 /// Dense handle to an interned recorder channel.  Obtained from
-/// `Recorder::declare`/`find`/`id`; valid for the lifetime of the recorder
+/// `Recorder::declare`; valid for the lifetime of the recorder
 /// that issued it.
 class ChannelId {
  public:
@@ -62,26 +58,18 @@ class Recorder {
   /// Re-declaring an existing channel with a different unit is an error.
   ChannelId declare(const std::string& name, const std::string& unit);
 
-  /// Handle of an existing channel, nullopt if absent.
-  [[nodiscard]] std::optional<ChannelId> find(const std::string& name) const;
-
-  /// Handle of an existing channel; throws StateError if absent.
-  [[nodiscard]] ChannelId id(const std::string& name) const;
-
   /// Record one sample through a handle (the hot path).  Deliberately not
   /// obs-instrumented per call: ingest is counted in bulk from
   /// total_appended() at quiescent points (see detail::note_recorder_ingest).
   void record(ChannelId id, SimTime t, double value) {
     HPCEM_ASSERT(id.index() < channels_.size(),
                  "Recorder::record: invalid channel id");
-    channels_[id.index()]->series.append(t, value);
+    channels_[id.index()]->append(t, value);
   }
 
   /// Series behind a handle.
   [[nodiscard]] const TimeSeries& series(ChannelId id) const;
   [[nodiscard]] TimeSeries& series(ChannelId id);
-  /// Name behind a handle.
-  [[nodiscard]] const std::string& name(ChannelId id) const;
 
   [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
 
@@ -94,16 +82,11 @@ class Recorder {
   /// TimeSeries::set_max_raw_samples.
   void set_max_raw_samples(std::size_t cap);
 
-  // -- String-keyed API (composition-time setup, tools, tests). -------------
-
-  /// Create (or fetch) a channel with the given unit label.  Re-declaring an
-  /// existing channel with a different unit is an error.
-  TimeSeries& channel(const std::string& name, const std::string& unit);
+  // -- String-keyed API (tools, tests). -------------------------------------
 
   /// Fetch an existing channel; throws StateError if absent.
   [[nodiscard]] const TimeSeries& channel(const std::string& name) const;
 
-  [[nodiscard]] bool has_channel(const std::string& name) const;
   /// Channel names in lexicographic order.
   [[nodiscard]] std::vector<std::string> channel_names() const;
 
@@ -111,44 +94,15 @@ class Recorder {
   /// name per call; prefer the ChannelId overload on hot paths).
   void record(const std::string& name, SimTime t, double value);
 
-  /// Export all channels as long-format CSV: time_iso,channel,unit,value.
-  /// Channels appear in name order, samples in time order.
-  [[nodiscard]] std::string to_csv() const;
-
  private:
-  struct Channel {
-    std::string name;
-    TimeSeries series;
-  };
-
   // Dense handle-indexed table.  One pointer hop per channel keeps
   // `TimeSeries&` references stable across later declares (callers hold
   // them across composition) while indexing stays a single vector load on
   // the per-sample path.
-  std::vector<std::unique_ptr<Channel>> channels_;
-  // Sorted name -> index intern map (also drives export ordering).
+  std::vector<std::unique_ptr<TimeSeries>> channels_;
+  // Sorted name -> index intern map (also drives channel_names ordering).
   std::map<std::string, std::uint32_t> index_;
   std::size_t max_raw_ = 0;
-};
-
-/// Fixed-width rolling window over a scalar stream (mean/min/max).
-class RollingWindow {
- public:
-  explicit RollingWindow(std::size_t capacity);
-
-  void add(double x);
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  [[nodiscard]] bool full() const { return buf_.size() == capacity_; }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
- private:
-  std::size_t capacity_;
-  std::deque<double> buf_;
-  /// Compensated: a long stream performs one add+subtract per sample and a
-  /// naive running sum drifts by an ulp per operation.
-  CompensatedSum sum_;
 };
 
 }  // namespace hpcem

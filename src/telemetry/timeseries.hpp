@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -150,14 +149,6 @@ class TimeSeries {
   /// Resample to a fixed interval by bucket-averaging; buckets with no
   /// samples take the interpolated value at the bucket centre.
   [[nodiscard]] TimeSeries resample(Duration interval) const;
-
-  /// Element-wise transform into a new series (same timestamps).
-  [[nodiscard]] TimeSeries map(
-      const std::function<double(double)>& f) const;
-
-  /// Sum of two series sampled at identical timestamps.
-  [[nodiscard]] static TimeSeries sum(const TimeSeries& a,
-                                      const TimeSeries& b);
 
  private:
   void enforce_retention();

@@ -114,26 +114,4 @@ std::string ascii_plot(std::span<const double> ys,
   return os.str();
 }
 
-std::string ascii_barchart(std::span<const std::string> labels,
-                           std::span<const double> values, int width,
-                           const std::string& title) {
-  require(labels.size() == values.size() && !labels.empty(),
-          "ascii_barchart: labels/values must be equal-length, non-empty");
-  require(width >= 8, "ascii_barchart: width too small");
-  const double max_v = *std::max_element(values.begin(), values.end());
-  std::size_t label_w = 0;
-  for (const auto& l : labels) label_w = std::max(label_w, l.size());
-
-  std::ostringstream os;
-  if (!title.empty()) os << title << '\n';
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const double frac = max_v > 0.0 ? std::max(0.0, values[i]) / max_v : 0.0;
-    const auto bar = static_cast<std::size_t>(
-        std::llround(frac * static_cast<double>(width)));
-    os << labels[i] << std::string(label_w - labels[i].size(), ' ') << " |"
-       << std::string(bar, '#') << ' ' << format_value(values[i]) << '\n';
-  }
-  return os.str();
-}
-
 }  // namespace hpcem

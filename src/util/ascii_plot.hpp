@@ -34,9 +34,4 @@ struct AsciiPlotOptions {
 [[nodiscard]] std::string ascii_plot(std::span<const double> ys,
                                      const AsciiPlotOptions& options);
 
-/// Render a horizontal bar chart (one row per label/value pair).
-[[nodiscard]] std::string ascii_barchart(
-    std::span<const std::string> labels, std::span<const double> values,
-    int width = 60, const std::string& title = {});
-
 }  // namespace hpcem

@@ -124,11 +124,4 @@ std::string CsvWriter::str() const {
   return os.str();
 }
 
-void CsvWriter::write_file(const std::filesystem::path& path) const {
-  std::ofstream out(path);
-  if (!out) throw ParseError("cannot write CSV file: " + path.string());
-  out << str();
-  if (!out) throw ParseError("I/O error writing CSV file: " + path.string());
-}
-
 }  // namespace hpcem

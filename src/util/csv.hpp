@@ -44,9 +44,6 @@ class CsvWriter {
   /// Render the whole table to a string.
   [[nodiscard]] std::string str() const;
 
-  /// Write to file; throws ParseError on I/O failure.
-  void write_file(const std::filesystem::path& path) const;
-
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 
  private:

@@ -122,13 +122,6 @@ void append_json_quoted(std::string& out, std::string_view s) {
   out.push_back('"');
 }
 
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  append_json_quoted(out, s);
-  return out;
-}
-
 void JsonValue::dump_to(std::string& out, int indent, int depth) const {
   const auto newline_pad = [&](int levels) {
     if (indent <= 0) return;

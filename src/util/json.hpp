@@ -125,9 +125,6 @@ void append_json_quoted(std::string& out, std::string_view s);
 /// does.
 void append_json_number(std::string& out, double v);
 
-/// Escape and double-quote a string for JSON output.
-[[nodiscard]] std::string json_quote(std::string_view s);
-
 /// The same rendering as a fresh string (non-finite values render as
 /// "inf" / "nan" for diagnostics and CSV; JSON output never holds them).
 [[nodiscard]] std::string json_number(double v);

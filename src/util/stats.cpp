@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/error.hpp"
 
 namespace hpcem {
 
 void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
@@ -35,8 +27,6 @@ void RunningStats::merge(const RunningStats& other) {
   mean_ += delta * nb / total;
   m2_ += other.m2_ + delta * delta * na * nb / total;
   n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::mean() const {
@@ -49,22 +39,7 @@ double RunningStats::variance() const {
   return m2_ / static_cast<double>(n_);
 }
 
-double RunningStats::sample_variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const {
-  require_state(n_ > 0, "RunningStats::min on empty accumulator");
-  return min_;
-}
-
-double RunningStats::max() const {
-  require_state(n_ > 0, "RunningStats::max on empty accumulator");
-  return max_;
-}
 
 double percentile_sorted(std::span<const double> sorted, double q) {
   require(!sorted.empty(), "percentile_sorted: empty input");
@@ -95,58 +70,6 @@ Summary summarize(std::span<const double> xs) {
   s.p75 = percentile_sorted(sorted, 0.75);
   s.p95 = percentile_sorted(sorted, 0.95);
   return s;
-}
-
-double mean_of(std::span<const double> xs) {
-  require(!xs.empty(), "mean_of: empty input");
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
-double weighted_mean(std::span<const double> xs, std::span<const double> ws) {
-  require(xs.size() == ws.size() && !xs.empty(),
-          "weighted_mean: inputs must be equal-length and non-empty");
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    require(ws[i] >= 0.0, "weighted_mean: weights must be non-negative");
-    num += xs[i] * ws[i];
-    den += ws[i];
-  }
-  require(den > 0.0, "weighted_mean: total weight must be positive");
-  return num / den;
-}
-
-LinearFit fit_line(std::span<const double> xs, std::span<const double> ys) {
-  require(xs.size() == ys.size() && xs.size() >= 2,
-          "fit_line: need >=2 paired samples");
-  const auto n = static_cast<double>(xs.size());
-  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-    syy += ys[i] * ys[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  require(denom != 0.0, "fit_line: x values are all identical");
-  LinearFit f;
-  f.slope = (n * sxy - sx * sy) / denom;
-  f.intercept = (sy - f.slope * sx) / n;
-  const double ss_tot = syy - sy * sy / n;
-  if (ss_tot <= 0.0) {
-    f.r2 = 1.0;  // y is constant and the fit is exact
-  } else {
-    double ss_res = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const double e = ys[i] - (f.intercept + f.slope * xs[i]);
-      ss_res += e * e;
-    }
-    f.r2 = std::max(0.0, 1.0 - ss_res / ss_tot);
-  }
-  return f;
 }
 
 Ewma::Ewma(double alpha) : alpha_(alpha) {

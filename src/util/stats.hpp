@@ -20,19 +20,13 @@ class RunningStats {
   [[nodiscard]] double mean() const;
   /// Population variance; 0 for fewer than 2 samples.
   [[nodiscard]] double variance() const;
-  /// Sample (Bessel-corrected) variance; 0 for fewer than 2 samples.
-  [[nodiscard]] double sample_variance() const;
   [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return mean() * static_cast<double>(n_); }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Neumaier-compensated running sum.
@@ -89,23 +83,6 @@ struct Summary {
 /// sorted, non-empty input.
 [[nodiscard]] double percentile_sorted(std::span<const double> sorted,
                                        double q);
-
-/// Arithmetic mean; requires non-empty input.
-[[nodiscard]] double mean_of(std::span<const double> xs);
-
-/// Weighted mean; requires equal non-zero lengths and positive total weight.
-[[nodiscard]] double weighted_mean(std::span<const double> xs,
-                                   std::span<const double> ws);
-
-/// Least-squares line fit y = a + b x over paired samples.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  /// Coefficient of determination in [0, 1].
-  double r2 = 0.0;
-};
-[[nodiscard]] LinearFit fit_line(std::span<const double> xs,
-                                 std::span<const double> ys);
 
 /// Exponentially weighted moving average filter.
 class Ewma {

@@ -28,14 +28,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
 
 void TextTable::add_rule() { rows_.emplace_back(); }
 
-std::size_t TextTable::row_count() const {
-  std::size_t n = 0;
-  for (const auto& r : rows_) {
-    if (!r.empty()) ++n;
-  }
-  return n;
-}
-
 std::string TextTable::str() const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t i = 0; i < header_.size(); ++i) {

@@ -28,7 +28,6 @@ class TextTable {
   void add_rule();
 
   [[nodiscard]] std::string str() const;
-  [[nodiscard]] std::size_t row_count() const;
 
   /// Fixed-point formatting helper: 3.14159 -> "3.14" (decimals=2).
   static std::string num(double v, int decimals = 2);

@@ -250,16 +250,6 @@ std::size_t AppCatalog::index(const std::string& name) const {
   return index_of(name);
 }
 
-const ApplicationModel& AppCatalog::at_index(std::size_t index) const {
-  require(index < apps_.size(), "AppCatalog::at_index: index out of range");
-  return apps_[index];
-}
-
-std::span<const PaperReference> AppCatalog::references(
-    const std::string& name) const {
-  return refs_[index_of(name)];
-}
-
 std::optional<PaperReference> AppCatalog::reference(const std::string& name,
                                                     int table) const {
   for (const auto& r : refs_[index_of(name)]) {

@@ -61,14 +61,6 @@ class AppCatalog {
   /// index instead of repeating string lookups.
   [[nodiscard]] std::size_t index(const std::string& name) const;
 
-  /// Entry by stable insertion index; throws InvalidArgument if out of
-  /// range.
-  [[nodiscard]] const ApplicationModel& at_index(std::size_t index) const;
-
-  /// All paper references attached to an entry (empty for production apps).
-  [[nodiscard]] std::span<const PaperReference> references(
-      const std::string& name) const;
-
   /// The reference from a specific paper table, if any.
   [[nodiscard]] std::optional<PaperReference> reference(
       const std::string& name, int table) const;

@@ -97,19 +97,4 @@ std::vector<JobSpec> read_jobs_file(const std::filesystem::path& path) {
   return jobs_from_csv(buf.str());
 }
 
-std::string records_to_csv(const std::vector<JobRecord>& recs) {
-  CsvWriter w({"id", "app", "nodes", "submit", "start", "end", "pstate",
-               "mode", "node_energy_kwh", "node_power_w", "node_hours"});
-  for (const auto& r : recs) {
-    w.add_row({std::to_string(r.spec.id), r.spec.app,
-               std::to_string(r.spec.nodes),
-               iso_date_time(r.spec.submit_time), iso_date_time(r.start_time),
-               iso_date_time(r.end_time), pstate_code(r.pstate),
-               to_string(r.mode), TextTable::num(r.node_energy.to_kwh(), 3),
-               TextTable::num(r.node_power_w, 1),
-               TextTable::num(r.node_hours(), 3)});
-  }
-  return w.str();
-}
-
 }  // namespace hpcem

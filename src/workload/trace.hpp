@@ -22,7 +22,4 @@ void write_jobs_file(const std::filesystem::path& path,
 [[nodiscard]] std::vector<JobSpec> read_jobs_file(
     const std::filesystem::path& path);
 
-/// Serialise completed-job accounting records (sacct-like) to CSV text.
-[[nodiscard]] std::string records_to_csv(const std::vector<JobRecord>& recs);
-
 }  // namespace hpcem

@@ -16,8 +16,9 @@ TEST(EmbodiedAudit, Archer2TotalOrderOfMagnitude) {
 
 TEST(EmbodiedAudit, NodesDominateTheFootprint) {
   const auto audit = EmbodiedAudit::archer2();
-  const double node_share =
-      audit.share_of("Compute nodes (2x EPYC, 256-512 GB)");
+  const auto& nodes = audit.components().front();
+  ASSERT_EQ(nodes.name, "Compute nodes (2x EPYC, 256-512 GB)");
+  const double node_share = nodes.total().g() / audit.total().g();
   EXPECT_GT(node_share, 0.70);
   EXPECT_LT(node_share, 0.95);
 }
@@ -84,9 +85,7 @@ TEST(EmbodiedAudit, ValidationAndErrors) {
   bad.manufacture_each = CarbonMass::kilograms(-1.0);
   EXPECT_THROW(audit.add(bad), InvalidArgument);
 
-  EXPECT_THROW(audit.share_of("anything"), StateError);  // empty audit
   const auto a2 = EmbodiedAudit::archer2();
-  EXPECT_THROW(a2.share_of("No Such Component"), InvalidArgument);
   EXPECT_THROW(a2.amortise(0.0), InvalidArgument);
   EXPECT_THROW(a2.grams_per_node_hour(0, 6.0, 0.9), InvalidArgument);
   EXPECT_THROW(a2.grams_per_node_hour(10, 6.0, 0.0), InvalidArgument);
@@ -111,15 +110,9 @@ TEST(EmbodiedAudit, SharesSumToOne) {
   const auto audit = EmbodiedAudit::archer2();
   double total = 0.0;
   for (const auto& c : audit.components()) {
-    total += audit.share_of(c.name);
+    total += c.total().g() / audit.total().g();
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(LifecyclePhase, Labels) {
-  EXPECT_EQ(to_string(LifecyclePhase::kManufacture), "manufacture");
-  EXPECT_EQ(to_string(LifecyclePhase::kTransport), "transport");
-  EXPECT_EQ(to_string(LifecyclePhase::kDecommission), "decommission");
 }
 
 }  // namespace

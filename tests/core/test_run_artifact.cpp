@@ -162,7 +162,9 @@ TEST(RunArtifact, MicroSimulationProducesConsistentArtifact) {
   spec.machine = MachineModel::kMicro;
   spec.name = "micro-fig2";
   const FacilityAssembly assembly(spec);
-  const RunArtifact a = run_spec_artifact(assembly);
+  const auto sim = assembly.run_simulator();
+  const RunArtifact a =
+      make_run_artifact(*sim, spec, analyze_timeline(*sim, spec));
 
   EXPECT_EQ(a.scenario, "micro-fig2");
   EXPECT_EQ(a.source, "simulation");
@@ -230,13 +232,6 @@ TEST(RunArtifact, WriteArtifactFilesEmitsJsonAndCsv) {
 
   std::remove(json_path.c_str());
   std::remove((base + ".aggregates.csv").c_str());
-}
-
-TEST(RunArtifact, RenderRunArtifactShowsHeadline) {
-  const std::string text = render_run_artifact(sample_artifact());
-  EXPECT_NE(text.find("test-scenario"), std::string::npos);
-  EXPECT_NE(text.find("cabinet_kw"), std::string::npos);
-  EXPECT_NE(text.find("3,141"), std::string::npos);
 }
 
 }  // namespace

@@ -15,19 +15,6 @@ GridStressEvent event(double start_h, double end_h, double cap_kw) {
   return e;
 }
 
-TEST(DemandResponse, ActiveWindowLookup) {
-  DemandResponseSchedule sched({event(10, 12, 2500), event(20, 22, 2000)});
-  EXPECT_FALSE(sched.active_at(SimTime(9.0 * 3600.0)).has_value());
-  const auto first = sched.active_at(SimTime(11.0 * 3600.0));
-  ASSERT_TRUE(first.has_value());
-  EXPECT_NEAR(first->cabinet_cap.kw(), 2500.0, 1e-9);
-  // End is exclusive.
-  EXPECT_FALSE(sched.active_at(SimTime(12.0 * 3600.0)).has_value());
-  const auto second = sched.active_at(SimTime(21.5 * 3600.0));
-  ASSERT_TRUE(second.has_value());
-  EXPECT_NEAR(second->cabinet_cap.kw(), 2000.0, 1e-9);
-}
-
 TEST(DemandResponse, AddSortsAndValidates) {
   DemandResponseSchedule sched;
   sched.add(event(20, 22, 2000));
@@ -37,20 +24,21 @@ TEST(DemandResponse, AddSortsAndValidates) {
 }
 
 TEST(DemandResponse, OverlapRejected) {
-  EXPECT_THROW(
-      DemandResponseSchedule({event(10, 14, 2500), event(12, 16, 2000)}),
-      InvalidArgument);
-  DemandResponseSchedule sched({event(10, 14, 2500)});
-  EXPECT_THROW(sched.add(event(13, 15, 2000)), InvalidArgument);
+  DemandResponseSchedule sched;
+  sched.add(event(10, 14, 2500));
+  EXPECT_THROW(sched.add(event(12, 16, 2000)), InvalidArgument);
+  EXPECT_THROW(sched.add(event(8, 11, 2000)), InvalidArgument);
+  // A rejected event leaves the schedule unchanged.
+  ASSERT_EQ(sched.events().size(), 1u);
   // Back-to-back windows are fine.
   EXPECT_NO_THROW(sched.add(event(14, 15, 2000)));
 }
 
 TEST(DemandResponse, DegenerateEventsRejected) {
-  EXPECT_THROW(DemandResponseSchedule({event(10, 10, 2500)}),
-               InvalidArgument);
-  EXPECT_THROW(DemandResponseSchedule({event(10, 12, 0.0)}),
-               InvalidArgument);
+  DemandResponseSchedule sched;
+  EXPECT_THROW(sched.add(event(10, 10, 2500)), InvalidArgument);
+  EXPECT_THROW(sched.add(event(10, 12, 0.0)), InvalidArgument);
+  EXPECT_TRUE(sched.events().empty());
 }
 
 std::vector<PolicyOption> options() {

@@ -1,4 +1,4 @@
-// Tests for the dragonfly topology and fabric power.
+// Tests for the dragonfly topology.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -42,7 +42,7 @@ TEST(Dragonfly, NodeToSwitchToGroupMapping) {
   EXPECT_EQ(d.group_of_switch(0), 0u);
   EXPECT_EQ(d.group_of_switch(31), 0u);
   EXPECT_EQ(d.group_of_switch(32), 1u);
-  EXPECT_EQ(d.group_of_node(8 * 32), 1u);
+  EXPECT_EQ(d.group_of_switch(d.switch_of_node(8 * 32)), 1u);
   EXPECT_THROW(d.switch_of_node(5860), InvalidArgument);
   EXPECT_THROW(d.group_of_switch(768), InvalidArgument);
 }
@@ -52,22 +52,13 @@ TEST(Dragonfly, EveryGroupPairIsLinked) {
   for (GroupId a = 0; a < 24; ++a) {
     for (GroupId b = 0; b < 24; ++b) {
       if (a == b) {
-        EXPECT_FALSE(d.groups_linked(a, b));
+        EXPECT_THROW((void)d.gateway_switch(a, b), InvalidArgument);
       } else {
-        ASSERT_TRUE(d.groups_linked(a, b)) << a << "->" << b;
-        const SwitchId gw = d.gateway_switch(a, b);
+        // gateway_switch throws StateError when no link joins the groups.
+        SwitchId gw = 0;
+        ASSERT_NO_THROW(gw = d.gateway_switch(a, b)) << a << "->" << b;
         EXPECT_EQ(d.group_of_switch(gw), a);
       }
-    }
-  }
-}
-
-TEST(Dragonfly, GlobalNeighboursAreOtherGroups) {
-  const Dragonfly d = archer2_fabric();
-  for (SwitchId s = 0; s < 768; s += 37) {
-    for (GroupId g : d.global_neighbours(s)) {
-      EXPECT_NE(g, d.group_of_switch(s));
-      EXPECT_LT(g, 24u);
     }
   }
 }
@@ -107,22 +98,6 @@ TEST(Dragonfly, MeanPairwiseHopsPrefersCompactPlacement) {
   EXPECT_LT(d.mean_pairwise_hops(compact),
             d.mean_pairwise_hops(scattered));
   EXPECT_THROW(d.mean_pairwise_hops({0}), InvalidArgument);
-}
-
-TEST(Dragonfly, LinkInventory) {
-  const Dragonfly d = archer2_fabric();
-  // Local: 24 groups x C(32,2); global: one per switch.
-  EXPECT_EQ(d.local_link_count(), 24u * 32u * 31u / 2u);
-  EXPECT_EQ(d.global_link_count(), 768u);
-}
-
-TEST(FabricPower, FlatWithLoadAndCountScaled) {
-  const FabricPowerModel fabric(768, SwitchPowerModel{});
-  EXPECT_NEAR(fabric.power(0.0).kw(), 153.6, 0.1);
-  EXPECT_NEAR(fabric.power(1.0).kw(), 192.0, 0.1);
-  // "Steady ... irrespective of system load": at most a 25% swing.
-  EXPECT_LE(fabric.power(1.0).w() / fabric.power(0.0).w(), 1.25);
-  EXPECT_THROW(FabricPowerModel(0, SwitchPowerModel{}), InvalidArgument);
 }
 
 }  // namespace

@@ -445,8 +445,7 @@ TEST(ScenarioInData, AllowsSanctionedLoadersAndFactories) {
       "const ScenarioSpec b = load_scenario_file(path);\n"
       "ScenarioSpec c = parse_scenario(text);\n"
       "ScenarioSpec d = scenario_from_json(doc);\n"
-      "ScenarioSpec e = ScenarioSpec::figure2();\n"
-      "const ScenarioSpec f = ScenarioSpec::archer2_baseline();\n");
+      "ScenarioSpec e = ScenarioSpec::figure2();\n");
   EXPECT_EQ(count_rule(report, "scenario-in-data"), 0u);
 }
 

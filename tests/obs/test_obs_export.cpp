@@ -127,8 +127,14 @@ TEST_F(ObsExportTest, ProfileComputesSelfAndInclusive) {
   record_nested_spans();
   const Profile p = profile_trace(trace_json(trace_snapshot()));
   EXPECT_EQ(p.time_unit, "ticks");
-  const ProfileEntry* outer = p.find("obs.export.outer");
-  const ProfileEntry* inner = p.find("obs.export.inner");
+  const auto find = [&p](std::string_view name) -> const ProfileEntry* {
+    for (const auto& e : p.entries) {
+      if (e.name == name) return &e;
+    }
+    return nullptr;
+  };
+  const ProfileEntry* outer = find("obs.export.outer");
+  const ProfileEntry* inner = find("obs.export.inner");
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(inner, nullptr);
   EXPECT_EQ(outer->count, 2u);
@@ -138,7 +144,7 @@ TEST_F(ObsExportTest, ProfileComputesSelfAndInclusive) {
   EXPECT_EQ(outer->self, 4.0);
   EXPECT_EQ(inner->inclusive, 2.0);
   EXPECT_EQ(inner->self, 2.0);
-  EXPECT_EQ(p.find("obs.export.absent"), nullptr);
+  EXPECT_EQ(find("obs.export.absent"), nullptr);
 
   EXPECT_THROW((void)profile_trace(JsonValue::object()), InvalidArgument);
 }

@@ -44,22 +44,6 @@ TEST(Cooling, SavedItPowerSavesOverheadToo) {
   EXPECT_GT(before - after, it_saving);
 }
 
-TEST(Cooling, FacilitySeriesAppliesPointwisePue) {
-  TimeSeries it("kW");
-  TimeSeries temp("degC");
-  const SimTime t0 = sim_time_from_date({2022, 7, 1});
-  for (int h = 0; h < 48; ++h) {
-    it.append(t0 + Duration::hours(h), 3000.0);
-    temp.append(t0 + Duration::hours(h), h < 24 ? 10.0 : 28.0);
-  }
-  const CoolingModel m;
-  const TimeSeries total = m.facility_series(it, temp);
-  ASSERT_EQ(total.size(), it.size());
-  EXPECT_NEAR(total[0].value, 3000.0 * 1.05, 1e-6);
-  EXPECT_NEAR(total[30].value, 3000.0 * m.pue_at(28.0), 1e-6);
-  EXPECT_THROW(m.facility_series(TimeSeries{}, temp), InvalidArgument);
-}
-
 TEST(Cooling, MeanPue) {
   TimeSeries temp("degC");
   temp.append(SimTime(0.0), 10.0);   // 1.05

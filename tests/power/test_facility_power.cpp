@@ -26,8 +26,10 @@ TEST(Inventory, Archer2Counts) {
 
 TEST(FacilityPower, IdleTotalMatchesTable2) {
   const auto model = make_model();
+  NodeActivity idle;
+  idle.load = 0.0;
   // Paper Table 2: idle total 1,800 kW.
-  EXPECT_NEAR(model.total_idle_power().kw(), 1800.0, 60.0);
+  EXPECT_NEAR(model.total_power(idle).kw(), 1800.0, 60.0);
 }
 
 TEST(FacilityPower, LoadedTotalMatchesTable2) {

@@ -23,7 +23,7 @@ NodeActivity loaded(DeterminismMode mode) {
 TEST(Fleet, SiliconDistributionShape) {
   const NodeFleet fleet(FleetParams{}, 11);
   EXPECT_EQ(fleet.size(), 5860u);
-  const Summary s = fleet.silicon_summary();
+  const Summary s = summarize(fleet.state().silicon);
   EXPECT_NEAR(s.mean, 1.0, 0.02);
   EXPECT_NEAR(s.stddev, 0.25, 0.03);
   EXPECT_GE(s.min, 0.5);
@@ -34,12 +34,12 @@ TEST(Fleet, DeterministicForSeed) {
   const NodeFleet a(FleetParams{}, 42);
   const NodeFleet b(FleetParams{}, 42);
   for (std::size_t i = 0; i < a.size(); i += 391) {
-    ASSERT_DOUBLE_EQ(a.silicon_factor(i), b.silicon_factor(i));
+    ASSERT_DOUBLE_EQ(a.state().silicon[i], b.state().silicon[i]);
   }
   const NodeFleet c(FleetParams{}, 43);
   bool any_diff = false;
   for (std::size_t i = 0; i < a.size() && !any_diff; ++i) {
-    any_diff = a.silicon_factor(i) != c.silicon_factor(i);
+    any_diff = a.state().silicon[i] != c.state().silicon[i];
   }
   EXPECT_TRUE(any_diff);
 }
@@ -82,15 +82,6 @@ TEST(Fleet, FleetSavingMatchesMeanUplift) {
               expected_per_node * 0.05);
 }
 
-TEST(Fleet, MeanSiliconOfSubset) {
-  const NodeFleet fleet(FleetParams{}, 3);
-  std::vector<std::size_t> nodes = {0, 1, 2, 3};
-  double manual = 0.0;
-  for (auto n : nodes) manual += fleet.silicon_factor(n);
-  EXPECT_NEAR(fleet.mean_silicon(nodes), manual / 4.0, 1e-12);
-  EXPECT_THROW(fleet.mean_silicon({}), InvalidArgument);
-}
-
 TEST(Fleet, ValidationErrors) {
   FleetParams bad;
   bad.node_count = 0;
@@ -102,8 +93,6 @@ TEST(Fleet, ValidationErrors) {
   bad.silicon_min = 2.0;
   bad.silicon_max = 1.0;
   EXPECT_THROW(NodeFleet(bad, 1), InvalidArgument);
-  const NodeFleet fleet(FleetParams{}, 1);
-  EXPECT_THROW(fleet.silicon_factor(999999), InvalidArgument);
 }
 
 TEST(Fleet, BatchedPowersMatchScalarNodePowerExactly) {
@@ -123,7 +112,7 @@ TEST(Fleet, BatchedPowersMatchScalarNodePowerExactly) {
   double manual_total = 0.0;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     NodeActivity per_node = act;
-    per_node.silicon_factor = fleet.silicon_factor(i);
+    per_node.silicon_factor = fleet.state().silicon[i];
     const double scalar = node_power(np, profile, per_node).w();
     ASSERT_EQ(batched[i], scalar) << "node " << i;
     manual_total += scalar;
@@ -137,7 +126,7 @@ TEST(Fleet, ZeroSigmaFleetIsUniform) {
   p.node_count = 100;
   p.silicon_sigma = 0.0;
   const NodeFleet fleet(p, 5);
-  const Summary s = fleet.silicon_summary();
+  const Summary s = summarize(fleet.state().silicon);
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 1.0);
 }

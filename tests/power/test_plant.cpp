@@ -41,16 +41,5 @@ TEST(FilesystemPower, ConstantRegardlessOfLoad) {
   EXPECT_DOUBLE_EQ(m.power(1.0).kw(), 8.0);
 }
 
-TEST(Pue, ScalesItPower) {
-  const PueModel m{1.1};
-  EXPECT_NEAR(m.facility_power(Power::kilowatts(3000.0)).kw(), 3300.0,
-              1e-9);
-}
-
-TEST(Pue, RejectsBelowOne) {
-  const PueModel m{0.9};
-  EXPECT_THROW(m.facility_power(Power::kilowatts(1.0)), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace hpcem

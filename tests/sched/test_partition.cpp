@@ -36,8 +36,10 @@ TEST(Partitions, RoutesJobsToTheirPools) {
   ps.submit(pjob(2, "highmem", 50));
   const auto starts = ps.schedule_pass(SimTime(0.0));
   ASSERT_EQ(starts.size(), 2u);
-  EXPECT_EQ(ps.scheduler("standard").busy_nodes(), 100u);
-  EXPECT_EQ(ps.scheduler("highmem").busy_nodes(), 50u);
+  EXPECT_EQ(starts[0].partition, "standard");
+  EXPECT_EQ(starts[0].start.nodes.size(), 100u);
+  EXPECT_EQ(starts[1].partition, "highmem");
+  EXPECT_EQ(starts[1].start.nodes.size(), 50u);
   EXPECT_EQ(ps.busy_nodes(), 150u);
   EXPECT_EQ(ps.total_nodes(), 5860u);
 }
@@ -55,8 +57,7 @@ TEST(Partitions, PoolsAreFencedOff) {
   EXPECT_TRUE(ps.schedule_pass(SimTime(0.0)).empty());
   EXPECT_EQ(ps.queue_length("highmem"), 1u);
   EXPECT_EQ(ps.queue_length("standard"), 0u);
-  EXPECT_NEAR(ps.utilisation("highmem"), 1.0, 1e-12);
-  EXPECT_NEAR(ps.utilisation("standard"), 0.0, 1e-12);
+  EXPECT_EQ(ps.busy_nodes(), 584u);
   EXPECT_NEAR(ps.total_utilisation(), 584.0 / 5860.0, 1e-9);
 }
 
@@ -73,8 +74,8 @@ TEST(Partitions, FinishRoutesByPartition) {
 TEST(Partitions, UnknownPartitionRejected) {
   PartitionedScheduler ps(PartitionedScheduler::archer2_partitions());
   EXPECT_THROW(ps.submit(pjob(1, "gpu", 1)), InvalidArgument);
-  EXPECT_THROW(ps.utilisation("gpu"), InvalidArgument);
-  EXPECT_THROW(ps.scheduler("gpu"), InvalidArgument);
+  EXPECT_THROW((void)ps.queue_length("gpu"), InvalidArgument);
+  EXPECT_THROW(ps.finish("gpu", 1, SimTime(0.0)), InvalidArgument);
 }
 
 TEST(Partitions, ConstructionValidation) {

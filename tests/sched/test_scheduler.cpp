@@ -129,14 +129,6 @@ TEST(Scheduler, FinishUnknownJobThrows) {
   EXPECT_THROW(s.finish(42, SimTime(0.0)), StateError);
 }
 
-TEST(Scheduler, AllocationQueryReturnsNodes) {
-  Scheduler s({100, 200});
-  s.submit(job(1, 25, 1.0));
-  ASSERT_EQ(s.schedule_pass(SimTime(0.0)).size(), 1u);
-  EXPECT_EQ(s.allocation(1).size(), 25u);
-  EXPECT_THROW(s.allocation(2), StateError);
-}
-
 TEST(Scheduler, UtilisationTracksBusyFraction) {
   Scheduler s({200, 200});
   s.submit(job(1, 50, 1.0));

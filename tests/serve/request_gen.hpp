@@ -110,7 +110,7 @@ class RequestGenerator {
   /// `s` as a JSON string literal, with some characters spelled as
   /// \u escapes or "\/" (all decode back to `s`).
   std::string quote(const std::string& s) {
-    if (rng_.bernoulli(0.7)) return json_quote(s);
+    if (rng_.bernoulli(0.7)) return JsonValue(s).dump(0);
     std::string out = "\"";
     for (const char c : s) {
       const auto u = static_cast<unsigned char>(c);
@@ -121,7 +121,7 @@ class RequestGenerator {
       } else if (c == '/' && rng_.bernoulli(0.5)) {
         out += "\\/";
       } else {
-        const std::string q = json_quote(std::string(1, c));
+        const std::string q = JsonValue(std::string(1, c)).dump(0);
         out += q.substr(1, q.size() - 2);
       }
     }
@@ -145,12 +145,12 @@ class RequestGenerator {
     if (rng_.bernoulli(0.5)) return number(t);
     const SimTime st(t);
     if (std::fmod(t, 86400.0) == 0.0 && rng_.bernoulli(0.5)) {
-      return json_quote(iso_date(date_from_sim_time(st)));
+      return JsonValue(iso_date(date_from_sim_time(st))).dump(0);
     }
     std::string iso = iso_date_time(st);
     if (rng_.bernoulli(0.3)) iso += ":00";
     if (rng_.bernoulli(0.2)) iso[10] = 'T';
-    return json_quote(iso);
+    return JsonValue(iso).dump(0);
   }
 
   double grid_time(double lo, double hi) {

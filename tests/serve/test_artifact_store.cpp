@@ -124,8 +124,6 @@ TEST(ArtifactStore, IterationOrderIsLexicographicNotIngestOrder) {
   const std::vector<std::string> expected{"alpha", "beta"};
   EXPECT_EQ(forward.scenario_names(), expected);
   EXPECT_EQ(reverse.scenario_names(), expected);
-  EXPECT_EQ(forward.at(0).name, "alpha");
-  EXPECT_EQ(forward.at(1).name, "beta");
 }
 
 TEST(ArtifactStore, WindowAggregateMatchesDirectComputation) {

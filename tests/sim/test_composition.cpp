@@ -56,7 +56,7 @@ class ConstantSource final : public PowerSource {
 class TotalPowerProbe final : public TelemetryProbe {
  public:
   void declare_channels(Recorder& recorder) override {
-    recorder.channel("probe_total_kw", "kW");
+    recorder.declare("probe_total_kw", "kW");
   }
   void on_sample(const SimSnapshot& s, Recorder& recorder) override {
     recorder.record("probe_total_kw", s.now, s.total_power_so_far_w / 1000.0);

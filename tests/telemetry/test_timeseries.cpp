@@ -113,27 +113,6 @@ TEST(TimeSeries, ResampleInvalidIntervalThrows) {
   EXPECT_THROW(ts.resample(Duration::seconds(0.0)), InvalidArgument);
 }
 
-TEST(TimeSeries, MapTransformsValues) {
-  const TimeSeries ts = ramp(3);
-  const TimeSeries doubled = ts.map([](double v) { return v * 2.0; });
-  EXPECT_DOUBLE_EQ(doubled[2].value, 4.0);
-  EXPECT_EQ(doubled.size(), ts.size());
-}
-
-TEST(TimeSeries, SumRequiresAlignment) {
-  const TimeSeries a = ramp(3);
-  const TimeSeries b = ramp(3);
-  const TimeSeries s = TimeSeries::sum(a, b);
-  EXPECT_DOUBLE_EQ(s[2].value, 4.0);
-  const TimeSeries c = ramp(4);
-  EXPECT_THROW(TimeSeries::sum(a, c), InvalidArgument);
-  TimeSeries shifted;
-  shifted.append(SimTime(100.0), 0.0);
-  shifted.append(SimTime(101.0), 1.0);
-  shifted.append(SimTime(102.0), 2.0);
-  EXPECT_THROW(TimeSeries::sum(a, shifted), InvalidArgument);
-}
-
 TEST(TimeSeries, SummaryStatistics) {
   const TimeSeries ts = ramp(101);
   const Summary s = ts.summary();

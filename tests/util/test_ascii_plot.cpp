@@ -104,24 +104,5 @@ TEST(AsciiPlot, InvalidInputsThrow) {
   EXPECT_THROW(ascii_plot(ys, opts), InvalidArgument);
 }
 
-TEST(AsciiBarchart, BarsScaleWithValues) {
-  const std::vector<std::string> labels = {"a", "bb"};
-  const std::vector<double> values = {1.0, 2.0};
-  const std::string s = ascii_barchart(labels, values, 20, "title");
-  EXPECT_NE(s.find("title"), std::string::npos);
-  const auto ls = lines_of(s);
-  ASSERT_GE(ls.size(), 3u);
-  const auto count_hashes = [](const std::string& line) {
-    return std::count(line.begin(), line.end(), '#');
-  };
-  EXPECT_EQ(count_hashes(ls[1]) * 2, count_hashes(ls[2]));
-}
-
-TEST(AsciiBarchart, MismatchedInputsThrow) {
-  const std::vector<std::string> labels = {"a"};
-  const std::vector<double> values = {1.0, 2.0};
-  EXPECT_THROW(ascii_barchart(labels, values), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace hpcem

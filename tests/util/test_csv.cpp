@@ -92,7 +92,7 @@ TEST(CsvFile, WriteAndReadBack) {
       std::filesystem::temp_directory_path() / "hpcem_csv_test.csv";
   CsvWriter w({"k", "v"});
   w.add_row({"power", "3220"});
-  w.write_file(path);
+  std::ofstream(path) << w.str();
   const CsvTable t = read_csv_file(path);
   ASSERT_EQ(t.rows.size(), 1u);
   EXPECT_EQ(t.rows[0][1], "3220");

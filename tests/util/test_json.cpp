@@ -87,7 +87,7 @@ TEST(JsonParse, StringEscapes) {
 
 TEST(JsonParse, QuoteRoundTrip) {
   const std::string raw = "a\"b\\c\nd\te\x01f";
-  const JsonValue v = JsonValue::parse(json_quote(raw));
+  const JsonValue v = JsonValue::parse(JsonValue(raw).dump(0));
   EXPECT_EQ(v.as_string(), raw);
 }
 
@@ -187,11 +187,11 @@ TEST(JsonValue, AppendersMatchTheStringForms) {
       "\x01\x1f\x7f \xc3\xa9";
   std::string out = "prefix:";
   append_json_quoted(out, raw);
-  EXPECT_EQ(out, "prefix:" + json_quote(raw));
-  EXPECT_EQ(json_quote(raw),
+  EXPECT_EQ(out, "prefix:" + JsonValue(raw).dump(0));
+  EXPECT_EQ(JsonValue(raw).dump(0),
             "\"plain \\\"q\\\" \\\\ /\\b\\f\\n\\r\\t\\u0000\\u0001\\u001f\x7f "
             "\xc3\xa9\"");
-  EXPECT_EQ(JsonValue::parse(json_quote(raw)).as_string(), raw);
+  EXPECT_EQ(JsonValue::parse(JsonValue(raw).dump(0)).as_string(), raw);
 
   for (const double x : {0.0, -0.0, 0.1, 5e-324, 1e21, 9007199254740993.0,
                          -123456.789}) {

@@ -36,7 +36,6 @@ TEST(TextTable, RuleInsertsSeparator) {
     ++rules;
   }
   EXPECT_EQ(rules, 2u);
-  EXPECT_EQ(t.row_count(), 2u);
 }
 
 TEST(TextTable, WidthMismatchThrows) {

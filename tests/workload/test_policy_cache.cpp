@@ -29,7 +29,7 @@ TEST_F(PolicyCacheTest, FactorsMatchUncachedCallsExactly) {
     cache.set_policy(policy);
     const JobSpec job;  // no user pin: policy resolution applies
     for (std::size_t a = 0; a < cat_.apps().size(); ++a) {
-      const ApplicationModel& app = cat_.at_index(a);
+      const ApplicationModel& app = cat_.apps()[a];
       const PState resolved = policy.resolve_pstate(app, job);
       const auto& f = cache.factors(a, job);
       EXPECT_EQ(f.pstate, resolved);
@@ -50,7 +50,7 @@ TEST_F(PolicyCacheTest, UserPinnedPStateOverridesThePolicySlot) {
   const OperatingPolicy policy = OperatingPolicy::low_frequency_default();
   cache.set_policy(policy);
   const std::size_t a = cat_.index("LAMMPS Ethanol");
-  const ApplicationModel& app = cat_.at_index(a);
+  const ApplicationModel& app = cat_.apps()[a];
   for (const PState& pin :
        {pstates::kLow, pstates::kMid, pstates::kHighTurbo,
         pstates::kHighNoTurbo}) {

@@ -64,22 +64,6 @@ TEST(Trace, MalformedInputThrows) {
                ParseError);
 }
 
-TEST(Trace, RecordsExportHasAccountingColumns) {
-  JobRecord r;
-  r.spec = sample_jobs()[0];
-  r.start_time = r.spec.submit_time + Duration::minutes(5.0);
-  r.end_time = r.start_time + Duration::hours(2.5);
-  r.pstate = pstates::kMid;
-  r.mode = DeterminismMode::kPerformanceDeterminism;
-  r.node_energy = Energy::kwh(7.5);
-  r.node_power_w = 375.0;
-  const std::string csv = records_to_csv({r});
-  EXPECT_NE(csv.find("node_energy_kwh"), std::string::npos);
-  EXPECT_NE(csv.find("performance determinism"), std::string::npos);
-  EXPECT_NE(csv.find("7.500"), std::string::npos);
-  EXPECT_NE(csv.find("2.00"), std::string::npos);  // pstate code
-}
-
 TEST(Trace, JobRecordDerivedQuantities) {
   JobRecord r;
   r.spec = sample_jobs()[0];
